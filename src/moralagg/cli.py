@@ -95,11 +95,13 @@ def _load(path: str) -> ScenarioDocument:
 
 def _spec_from_flags(args, document: ScenarioDocument) -> SwfSpec:
     if args.swf is None:
-        if document.default_swf is not None:
-            return document.default_swf
-        raise _UsageError(
-            "no functional selected: pass --swf or add a swf line to the scenario"
-        )
+        if document.default_swf is None:
+            raise _UsageError(
+                "no functional selected: pass --swf or add a swf line to the scenario"
+            )
+        if args.k is not None or args.trim_mode is not None:
+            raise _UsageError("--k and --trim-mode only apply with --swf kthm")
+        return document.default_swf
     kind = SwfKind(args.swf)
     if kind is SwfKind.KTHM:
         if args.k is None:
@@ -115,6 +117,7 @@ def _spec_from_flags(args, document: ScenarioDocument) -> SwfSpec:
 
 def _cmd_validate(args) -> int:
     document = _load(args.scenario)
+    framework = document.framework
     if args.json:
         _emit_json(
             {
@@ -124,10 +127,10 @@ def _cmd_validate(args) -> int:
                 "theories": [
                     {
                         "id": t.id,
-                        "credence": t.credence,
+                        "credence": framework.credences[t.id],
                         "evaluations": t.evaluations,
                     }
-                    for t in document.theories
+                    for t in framework.theories
                 ],
                 "default_swf": (
                     _swf_json(document.default_swf)
@@ -138,11 +141,11 @@ def _cmd_validate(args) -> int:
         )
         return 0
     print(
-        f"ok: {len(document.theories)} theories over {len(document.actions)} actions"
+        f"ok: {len(framework.theories)} theories over {len(document.actions)} actions"
     )
     print("actions: " + " ".join(document.actions))
-    for theory in document.theories:
-        print(f"theory {theory.id} credence {_fmt(theory.credence)}")
+    for theory in framework.theories:
+        print(f"theory {theory.id} credence {_fmt(framework.credences[theory.id])}")
     if document.default_swf is not None:
         print(f"default swf: {document.default_swf.label()}")
     return 0
@@ -151,7 +154,7 @@ def _cmd_validate(args) -> int:
 def _cmd_rank(args) -> int:
     document = _load(args.scenario)
     spec = _spec_from_flags(args, document)
-    result = aggregate(spec, document.framework(), document.action_set())
+    result = aggregate(spec, document.framework, document.actions)
     if args.json:
         _emit_json(
             {
@@ -187,9 +190,9 @@ def _compare_specs(args) -> list[SwfSpec]:
 def _cmd_compare(args) -> int:
     document = _load(args.scenario)
     specs = _compare_specs(args)
-    framework = document.framework()
-    actions = document.action_set()
-    results = [aggregate(spec, framework, actions) for spec in specs]
+    results = [
+        aggregate(spec, document.framework, document.actions) for spec in specs
+    ]
     if args.json:
         _emit_json(
             {
@@ -245,7 +248,7 @@ def _cmd_dominant(args) -> int:
     document = _load(args.scenario)
     spec = _spec_from_flags(args, document)
     found = enumerate_dominant_subsets(
-        spec, document.framework(), document.action_set(), args.max_theories
+        spec, document.framework, document.actions, args.max_theories
     )
     if args.json:
         _emit_json(
@@ -277,8 +280,8 @@ def _cmd_dominant(args) -> int:
 
 
 def _witness_report(args, document: ScenarioDocument) -> tuple[WitnessReport, SwfSpec]:
-    framework = document.framework()
-    actions = document.action_set()
+    framework = document.framework
+    actions = document.actions
     if args.swf == "mec":
         if args.credence is None:
             raise _UsageError("--swf mec needs --credence")
@@ -310,14 +313,12 @@ def _witness_report(args, document: ScenarioDocument) -> tuple[WitnessReport, Sw
 def _cmd_witness(args) -> int:
     document = _load(args.scenario)
     report, spec = _witness_report(args, document)
-    actions = document.action_set()
+    actions = document.actions
     injected_id = next(iter(report.injected_theories))
     injected = report.extended_framework.theory(injected_id)
     out_path = None
     if args.out:
-        out_doc = ScenarioDocument.from_framework(
-            report.extended_framework, actions, default_swf=spec
-        )
+        out_doc = ScenarioDocument(report.extended_framework, actions, spec)
         out_path = Path(args.out)
         out_path.write_bytes(serialize_scenario(out_doc))
     if args.json:

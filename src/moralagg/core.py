@@ -162,12 +162,6 @@ class ActionSet:
     def __contains__(self, action: object) -> bool:
         return action in self.actions
 
-    def index(self, action: ActionId) -> int:
-        try:
-            return self.actions.index(action)
-        except ValueError:
-            raise UnknownAction(action) from None
-
 
 @dataclass(frozen=True)
 class Theory:
@@ -232,13 +226,6 @@ class EthicalFramework:
         object.__setattr__(self, "credences", fixed)
         object.__setattr__(self, "_index", index)
 
-    @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[Theory, RationalLike]]
-    ) -> "EthicalFramework":
-        pairs = list(pairs)
-        return cls([t for t, _ in pairs], {t.id: c for t, c in pairs})
-
     def theory_ids(self) -> tuple[TheoryId, ...]:
         return tuple(t.id for t in self.theories)
 
@@ -251,12 +238,6 @@ class EthicalFramework:
     def credence(self, theory_id: TheoryId) -> Fraction:
         try:
             return self.credences[theory_id]
-        except KeyError:
-            raise UnknownTheoryId(theory_id) from None
-
-    def declaration_index(self, theory_id: TheoryId) -> int:
-        try:
-            return self._index[theory_id]
         except KeyError:
             raise UnknownTheoryId(theory_id) from None
 
@@ -292,12 +273,6 @@ class Ranking:
 
     def maximal_group(self) -> frozenset[ActionId]:
         return self.groups[-1]
-
-    def position(self, action: ActionId) -> int:
-        for pos, group in enumerate(self.groups):
-            if action in group:
-                return pos
-        raise UnknownAction(action)
 
     def __str__(self) -> str:
         return " ≺ ".join(

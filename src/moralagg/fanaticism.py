@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     ActionId,
@@ -44,6 +44,7 @@ from .core import (
 )
 from .functionals import (
     HALF,
+    AggregateResult,
     SwfSpec,
     TrimMode,
     aggregate,
@@ -261,33 +262,72 @@ def _choose_target(
     return target
 
 
-def _chain_theory(
+def _credence_level(k: RationalLike) -> Fraction:
+    k = to_rational(k)
+    if not (0 < k < HALF):
+        raise BadCredence(k)
+    return k
+
+
+def _verified(
+    spec: SwfSpec,
     framework: EthicalFramework,
     actions: ActionSet,
-    target: ActionId,
-    slope: Fraction,
-) -> tuple[Theory, tuple[ActionId, ...]]:
-    # Values slope, 2*slope, ..., n*slope along a permutation that puts the
-    # target last, so the injected theory alone ranks the target strictly best.
-    permutation = tuple(a for a in actions if a != target) + (target,)
-    values = {a: slope * (i + 1) for i, a in enumerate(permutation)}
-    ft_id = _fresh_theory_id(framework.theory_ids())
-    return Theory(ft_id, values), permutation
-
-
-def _verify(
-    spec: SwfSpec,
-    extended: EthicalFramework,
-    actions: ActionSet,
-    injected: frozenset[TheoryId],
+    injected: Theory,
+    credence: Fraction,
     construction: Mapping[str, object],
-) -> DominanceVerdict:
-    verdict = is_dominant_subset(spec, extended, actions, injected)
+) -> WitnessReport:
+    """Extend by ``injected`` at ``credence`` and re-verify its dominance."""
+    extended = extend(framework, [(injected, credence)])
+    ids = frozenset({injected.id})
+    verdict = is_dominant_subset(spec, extended, actions, ids)
     if not verdict.is_dominant:
         raise ConstructionFailed(
             f"constructed extension failed dominance verification: {construction!r}"
         )
-    return verdict
+    return WitnessReport(extended, ids, credence, verdict, construction)
+
+
+def _ladder_witness(
+    spec: SwfSpec,
+    framework: EthicalFramework,
+    actions: ActionSet,
+    credence: Fraction,
+    target: Optional[ActionId],
+    bound: Callable[[AggregateResult], Fraction],
+) -> WitnessReport:
+    """Capture ``spec`` with one theory walking the actions up a ladder.
+
+    ``bound(base)`` gives ``s``, a bound on the absolute share of any
+    action's extended score that the base theories contribute.  At the
+    injected ``credence`` each rung of the ladder adds ``m = 2s + 1``,
+    more than the base theories can ever take back, so the extended
+    scores form a strict chain ending at the target.
+    """
+    if len(actions) < 2:
+        raise MoralAggError("capturing needs at least two actions")
+    base = aggregate(spec, framework, actions)
+    chosen = _choose_target(base.ranking, actions, target)
+    a_star = _declaration_first(base.ranking.maximal_group() - {chosen}, actions)
+    s = bound(base)
+    m = 2 * s + 1
+    # Values step, 2*step, ..., n*step along a permutation that puts the
+    # target last, so the injected theory alone ranks the target strictly best.
+    permutation = tuple(a for a in actions if a != chosen) + (chosen,)
+    step = m / credence
+    ft = Theory(
+        _fresh_theory_id(framework.theory_ids()),
+        {a: step * (i + 1) for i, a in enumerate(permutation)},
+    )
+    construction = {
+        "target": chosen,
+        "a_star": a_star,
+        "bound": s,
+        "step": m,
+        "permutation": permutation,
+        "injected_id": ft.id,
+    }
+    return _verified(spec, framework, actions, ft, credence, construction)
 
 
 def witness_mec(
@@ -314,29 +354,14 @@ def witness_mec(
         The re-verification failed (this would be a bug, not an input
         defect).
     """
-    k = to_rational(k)
-    if not (0 < k < HALF):
-        raise BadCredence(k)
-    if len(actions) < 2:
-        raise MoralAggError("capturing needs at least two actions")
-    spec = SwfSpec.mec()
-    base = aggregate(spec, framework, actions)
-    chosen = _choose_target(base.ranking, actions, target)
-    a_star = _declaration_first(base.ranking.maximal_group() - {chosen}, actions)
-    s = max(abs(v) for v in base.scores.values())
-    m = 2 * s + 1
-    ft, permutation = _chain_theory(framework, actions, chosen, m / k)
-    extended = extend(framework, [(ft, k)])
-    construction = {
-        "target": chosen,
-        "a_star": a_star,
-        "bound": s,
-        "step": m,
-        "permutation": permutation,
-        "injected_id": ft.id,
-    }
-    verdict = _verify(spec, extended, actions, frozenset({ft.id}), construction)
-    return WitnessReport(extended, frozenset({ft.id}), k, verdict, construction)
+    return _ladder_witness(
+        SwfSpec.mec(),
+        framework,
+        actions,
+        _credence_level(k),
+        target,
+        lambda base: max(abs(v) for v in base.scores.values()),
+    )
 
 
 def witness_maximin(
@@ -357,9 +382,7 @@ def witness_maximin(
     instance when that action is already alone at the bottom) and then
     raises :class:`ConstructionFailed`.
     """
-    k = to_rational(k)
-    if not (0 < k < HALF):
-        raise BadCredence(k)
+    k = _credence_level(k)
     if len(actions) < 2:
         raise MoralAggError("capturing needs at least two actions")
     if reading not in ("corrected", "literal"):
@@ -373,15 +396,13 @@ def witness_maximin(
         a_star = _declaration_first(base.ranking.groups[0], actions)
     values = {a: floor - 2 if a == a_star else floor - 1 for a in actions}
     ft = Theory(_fresh_theory_id(framework.theory_ids()), values)
-    extended = extend(framework, [(ft, k)])
     construction = {
         "a_star": a_star,
         "floor": floor,
         "reading": reading,
         "injected_id": ft.id,
     }
-    verdict = _verify(spec, extended, actions, frozenset({ft.id}), construction)
-    return WitnessReport(extended, frozenset({ft.id}), k, verdict, construction)
+    return _verified(spec, framework, actions, ft, k, construction)
 
 
 def witness_kthm(
@@ -412,34 +433,20 @@ def witness_kthm(
     k_prime = to_rational(k_prime)
     if not (0 <= k < k_prime < HALF):
         raise BadCredencePair(k, k_prime)
-    if len(actions) < 2:
-        raise MoralAggError("capturing needs at least two actions")
-    spec = SwfSpec.kthm(k, TrimMode.LITERAL)
-    base = aggregate(spec, framework, actions)
-    chosen = _choose_target(base.ranking, actions, target)
-    a_star = _declaration_first(base.ranking.maximal_group() - {chosen}, actions)
-    bound = max(
-        sum(
-            (framework.credences[t.id] * abs(t.evaluation(a))
-             for t in framework.theories),
-            Fraction(0),
+
+    def bound(base: AggregateResult) -> Fraction:
+        return (1 - k_prime) * max(
+            sum(
+                (framework.credences[t.id] * abs(t.evaluation(a))
+                 for t in framework.theories),
+                Fraction(0),
+            )
+            for a in actions
         )
-        for a in actions
+
+    return _ladder_witness(
+        SwfSpec.kthm(k, TrimMode.LITERAL), framework, actions, k_prime, target, bound
     )
-    s = (1 - k_prime) * bound
-    m = 2 * s + 1
-    ft, permutation = _chain_theory(framework, actions, chosen, m / k_prime)
-    extended = extend(framework, [(ft, k_prime)])
-    construction = {
-        "target": chosen,
-        "a_star": a_star,
-        "bound": s,
-        "step": m,
-        "permutation": permutation,
-        "injected_id": ft.id,
-    }
-    verdict = _verify(spec, extended, actions, frozenset({ft.id}), construction)
-    return WitnessReport(extended, frozenset({ft.id}), k_prime, verdict, construction)
 
 
 CANONICAL_ACTIONS = ActionSet(("a", "b"))
@@ -459,15 +466,37 @@ def canonical_family(
     return EthicalFramework([base], {tid: Fraction(1)}), CANONICAL_ACTIONS
 
 
-def _checked_adversary(
-    adversary: Sequence[tuple[Theory, RationalLike]],
+def _probe(
+    spec: SwfSpec,
     k: Fraction,
-) -> list[tuple[Theory, Fraction]]:
+    adversary: Sequence[tuple[Theory, RationalLike]],
+    structural_check: Callable[[EthicalFramework, ActionId], None],
+) -> bool:
+    """Extend the canonical family by ``adversary`` and test its dominance.
+
+    ``structural_check(extended, action)`` raises
+    :class:`ConstructionFailed` when the reason the rule resists fails
+    on ``action``; in ``extended`` the base theory comes first and the
+    adversary after it.  The ranking ``b ≺ a`` must also survive.
+    """
     fixed = [(t, to_rational(c)) for t, c in adversary]
     mass = sum((c for _, c in fixed), Fraction(0))
     if mass > k:
         raise CredenceTooHigh(mass, k)
-    return fixed
+    base, actions = canonical_family([t.id for t, _ in fixed])
+    extended = extend(base, fixed)
+    for action in actions:
+        structural_check(extended, action)
+    result = aggregate(spec, extended, actions)
+    if result.ranking != Ranking([{"b"}, {"a"}]):
+        raise ConstructionFailed(
+            f"{spec.label()} ranking moved to {result.ranking} under the adversary"
+        )
+    adversary_ids = frozenset(t.id for t, _ in fixed)
+    if not adversary_ids:
+        return True
+    verdict = is_dominant_subset(spec, extended, actions, adversary_ids)
+    return not verdict.is_dominant
 
 
 def probe_kthm_non_fanatical(
@@ -485,30 +514,16 @@ def probe_kthm_non_fanatical(
     preserved) are re-checked at runtime and raise
     :class:`ConstructionFailed` if violated.
     """
-    k = to_rational(k)
-    if not (0 < k < HALF):
-        raise BadCredence(k)
-    fixed = _checked_adversary(adversary, k)
-    base, actions = canonical_family([t.id for t, _ in fixed])
-    extended = extend(base, fixed)
-    spec = SwfSpec.kthm(k, TrimMode.LITERAL)
-    adversary_ids = frozenset(t.id for t, _ in fixed)
-    for action in actions:
+    k = _credence_level(k)
+
+    def all_trimmed(extended: EthicalFramework, action: ActionId) -> None:
         shed = bottom_k(extended, action, k) | top_k(extended, action, k)
-        if not adversary_ids <= shed:
+        if not {t.id for t in extended.theories[1:]} <= shed:
             raise ConstructionFailed(
                 f"adversary theory survived trimming on {action!r}"
             )
-    expected = Ranking([{"b"}, {"a"}])
-    result = aggregate(spec, extended, actions)
-    if result.ranking != expected:
-        raise ConstructionFailed(
-            f"trimmed ranking moved to {result.ranking} under the adversary"
-        )
-    if not adversary_ids:
-        return True
-    verdict = is_dominant_subset(spec, extended, actions, adversary_ids)
-    return not verdict.is_dominant
+
+    return _probe(SwfSpec.kthm(k, TrimMode.LITERAL), k, adversary, all_trimmed)
 
 
 def probe_hm_non_fanatical(
@@ -521,27 +536,11 @@ def probe_hm_non_fanatical(
     dictates the weighted median of every action and the ranking cannot
     move.  Returns True iff the adversary is *not* a dominant subset.
     """
-    k = to_rational(k)
-    if not (0 < k < HALF):
-        raise BadCredence(k)
-    fixed = _checked_adversary(adversary, k)
-    base, actions = canonical_family([t.id for t, _ in fixed])
-    base_theory = base.theories[0]
-    extended = extend(base, fixed)
-    spec = SwfSpec.hm()
-    for action in actions:
-        if wmedian(extended, action) != base_theory.evaluation(action):
+
+    def majority_dictates(extended: EthicalFramework, action: ActionId) -> None:
+        if wmedian(extended, action) != extended.theories[0].evaluation(action):
             raise ConstructionFailed(
                 f"majority theory failed to dictate the median of {action!r}"
             )
-    expected = Ranking([{"b"}, {"a"}])
-    result = aggregate(spec, extended, actions)
-    if result.ranking != expected:
-        raise ConstructionFailed(
-            f"median ranking moved to {result.ranking} under the adversary"
-        )
-    adversary_ids = frozenset(t.id for t, _ in fixed)
-    if not adversary_ids:
-        return True
-    verdict = is_dominant_subset(spec, extended, actions, adversary_ids)
-    return not verdict.is_dominant
+
+    return _probe(SwfSpec.hm(), _credence_level(k), adversary, majority_dictates)

@@ -23,6 +23,7 @@ from typing import Optional, Union
 from .core import (
     ActionId,
     ActionSet,
+    CredenceSumNotOne,
     EthicalFramework,
     MissingEvaluation,
     MoralAggError,
@@ -119,12 +120,6 @@ class SortedEvaluations:
 
     pairs: tuple[tuple[TheoryId, Fraction], ...]
 
-    def ids(self) -> tuple[TheoryId, ...]:
-        return tuple(tid for tid, _ in self.pairs)
-
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(v for _, v in self.pairs)
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -174,34 +169,47 @@ def _check_trim_level(k: RationalLike) -> Fraction:
     return k
 
 
+def _trim(
+    framework: EthicalFramework, action: ActionId, k: Fraction
+) -> tuple[SortedEvaluations, int, int]:
+    """One sort of ``action``'s evaluations, walked from both ends.
+
+    Returns the sorted evaluations with bounds ``lo`` and ``hi`` into
+    their pairs: ``[:lo]`` is the maximal low prefix of credence mass
+    <= k, ``[hi:]`` the maximal high suffix, and ``[lo:hi]`` survives.
+    """
+    se = sorted_evaluations(framework, action)
+    pairs = se.pairs
+    credences = framework.credences
+    lo, mass = 0, Fraction(0)
+    for tid, _ in pairs:
+        mass += credences[tid]
+        if mass > k:
+            break
+        lo += 1
+    hi, mass = len(pairs), Fraction(0)
+    for tid, _ in reversed(pairs):
+        mass += credences[tid]
+        if mass > k:
+            break
+        hi -= 1
+    return se, lo, hi
+
+
 def bottom_k(
     framework: EthicalFramework, action: ActionId, k: RationalLike
 ) -> frozenset[TheoryId]:
     """Ids forming the maximal low-evaluation prefix of credence mass <= k."""
-    k = _check_trim_level(k)
-    out: set[TheoryId] = set()
-    mass = Fraction(0)
-    for tid, _ in sorted_evaluations(framework, action).pairs:
-        mass += framework.credences[tid]
-        if mass > k:
-            break
-        out.add(tid)
-    return frozenset(out)
+    se, lo, _ = _trim(framework, action, _check_trim_level(k))
+    return frozenset(tid for tid, _ in se.pairs[:lo])
 
 
 def top_k(
     framework: EthicalFramework, action: ActionId, k: RationalLike
 ) -> frozenset[TheoryId]:
     """Ids forming the maximal high-evaluation suffix of credence mass <= k."""
-    k = _check_trim_level(k)
-    out: set[TheoryId] = set()
-    mass = Fraction(0)
-    for tid, _ in reversed(sorted_evaluations(framework, action).pairs):
-        mass += framework.credences[tid]
-        if mass > k:
-            break
-        out.add(tid)
-    return frozenset(out)
+    se, _, hi = _trim(framework, action, _check_trim_level(k))
+    return frozenset(tid for tid, _ in se.pairs[hi:])
 
 
 def trimmed_wam(
@@ -219,14 +227,12 @@ def trimmed_wam(
     """
     k = _check_trim_level(k)
     trim_mode = _coerce_trim_mode(trim_mode)
-    trimmed = bottom_k(framework, action, k) | top_k(framework, action, k)
+    se, lo, hi = _trim(framework, action, k)
     total = Fraction(0)
     mass = Fraction(0)
-    for theory in framework.theories:
-        if theory.id in trimmed:
-            continue
-        c = framework.credences[theory.id]
-        total += c * theory.evaluation(action)
+    for tid, value in se.pairs[lo:hi]:
+        c = framework.credences[tid]
+        total += c * value
         mass += c
     if trim_mode is TrimMode.RENORMALIZED:
         return total / mass
@@ -241,23 +247,21 @@ def wmedian(framework: EthicalFramework, action: ActionId) -> Fraction:
     With positive credences summing to 1 this is equivalent to the prefix
     sums straddling 1/2, so either exactly one index is valid or exactly
     two adjacent ones are; in the latter case the two evaluations are
-    averaged.
+    averaged.  Credences that do not sum to 1 raise
+    :class:`CredenceSumNotOne`.
     """
-    se = sorted_evaluations(framework, action)
     prefix = Fraction(0)
     valid: list[Fraction] = []
-    for tid, value in se.pairs:
+    for tid, value in sorted_evaluations(framework, action).pairs:
         before = prefix
         prefix += framework.credences[tid]
         if before <= HALF <= prefix:
             valid.append(value)
+    if prefix != 1:
+        raise CredenceSumNotOne(prefix)
     if len(valid) == 1:
         return valid[0]
-    if len(valid) == 2:
-        return (valid[0] + valid[1]) / 2
-    raise AssertionError(
-        "weighted median undefined: credences do not sum to 1"
-    )
+    return (valid[0] + valid[1]) / 2
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .core import (
     ActionSet,
@@ -86,49 +86,12 @@ class ValidationError(ScenarioError):
 
 
 @dataclass(frozen=True)
-class ScenarioTheory:
-    id: str
-    credence: Fraction
-    evaluations: Mapping[str, Fraction]
-
-
-@dataclass(frozen=True)
 class ScenarioDocument:
-    """Parsed scenario: actions, theories, optional default functional."""
+    """Parsed scenario: the framework, its action set, optional default functional."""
 
-    actions: tuple[str, ...]
-    theories: tuple[ScenarioTheory, ...]
+    framework: EthicalFramework
+    actions: ActionSet
     default_swf: Optional[SwfSpec] = None
-
-    def action_set(self) -> ActionSet:
-        return ActionSet(self.actions)
-
-    def framework(self) -> EthicalFramework:
-        theories = [Theory(t.id, t.evaluations) for t in self.theories]
-        return EthicalFramework(
-            theories, {t.id: t.credence for t in self.theories}
-        )
-
-    @classmethod
-    def from_framework(
-        cls,
-        framework: EthicalFramework,
-        actions: ActionSet,
-        default_swf: Optional[SwfSpec] = None,
-    ) -> "ScenarioDocument":
-        validate_framework(framework, actions)
-        return cls(
-            actions=tuple(actions),
-            theories=tuple(
-                ScenarioTheory(
-                    id=t.id,
-                    credence=framework.credences[t.id],
-                    evaluations={a: t.evaluations[a] for a in actions},
-                )
-                for t in framework.theories
-            ),
-            default_swf=default_swf,
-        )
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -335,23 +298,16 @@ class _Parser:
             raise ScenarioSyntaxError("missing actions declaration", 1, 1)
         if not self.order:
             raise ValidationError("scenario declares no theories")
-        doc = ScenarioDocument(
-            actions=tuple(self.actions),
-            theories=tuple(
-                ScenarioTheory(
-                    id=tid,
-                    credence=self.credences[tid],
-                    evaluations=dict(self.evaluations[tid]),
-                )
-                for tid in self.order
-            ),
-            default_swf=self.swf,
+        actions = ActionSet(self.actions)
+        framework = EthicalFramework(
+            [Theory(tid, self.evaluations[tid]) for tid in self.order],
+            self.credences,
         )
         try:
-            validate_framework(doc.framework(), doc.action_set())
+            validate_framework(framework, actions)
         except MoralAggError as exc:
             raise ValidationError(str(exc)) from exc
-        return doc
+        return ScenarioDocument(framework, actions, self.swf)
 
 
 def parse_scenario(data: Union[str, bytes]) -> ScenarioDocument:
@@ -375,8 +331,9 @@ def parse_scenario(data: Union[str, bytes]) -> ScenarioDocument:
 def serialize_scenario(document: ScenarioDocument) -> bytes:
     """Render ``document`` in canonical form as UTF-8 bytes."""
     lines = [f"scenario {SCHEMA_VERSION}", "actions " + " ".join(document.actions)]
-    for theory in document.theories:
-        lines.append(f"theory {theory.id} credence {theory.credence}")
+    framework = document.framework
+    for theory in framework.theories:
+        lines.append(f"theory {theory.id} credence {framework.credences[theory.id]}")
         for action in document.actions:
             lines.append(f"  eval {action} {theory.evaluations[action]}")
     swf = document.default_swf

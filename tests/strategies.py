@@ -5,7 +5,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 
 from moralagg import ActionSet, EthicalFramework, SwfSpec, Theory, TrimMode
-from moralagg.scenario import ScenarioDocument, ScenarioTheory
+from moralagg.scenario import ScenarioDocument
 
 ACTION_NAMES = ("a", "b", "c", "d")
 
@@ -72,13 +72,19 @@ def scenario_documents(draw):
         )
     )
     total = sum(weights)
-    theories = []
-    for tid, weight in zip(theory_ids, weights):
-        evals = {
-            a: draw(st.fractions(min_value=-50, max_value=50, max_denominator=40))
-            for a in actions
-        }
-        theories.append(ScenarioTheory(tid, Fraction(weight, total), evals))
+    theories = [
+        Theory(
+            tid,
+            {
+                a: draw(
+                    st.fractions(min_value=-50, max_value=50, max_denominator=40)
+                )
+                for a in actions
+            },
+        )
+        for tid in theory_ids
+    ]
+    credences = {tid: Fraction(w, total) for tid, w in zip(theory_ids, weights)}
     swf = draw(
         st.one_of(
             st.none(),
@@ -93,5 +99,5 @@ def scenario_documents(draw):
         )
     )
     return ScenarioDocument(
-        actions=actions, theories=tuple(theories), default_swf=swf
+        EthicalFramework(theories, credences), ActionSet(actions), swf
     )

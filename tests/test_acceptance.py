@@ -45,7 +45,7 @@ CAPTURE_LEVELS = (F(1, 100), F(1, 10), F(2, 5))
 
 def frobo():
     doc = parse_scenario((FIXTURES / "frobo.scenario").read_bytes())
-    return doc.framework(), doc.action_set()
+    return doc.framework, doc.actions
 
 
 def population(seed, count, **kwargs):
@@ -99,7 +99,7 @@ def test_criterion_02a_dominant_subsets_under_the_mean():
 
         doc = parse_scenario((FIXTURES / "tiebreaker.scenario").read_bytes())
         found = enumerate_dominant_subsets(
-            SwfSpec.mec(), doc.framework(), doc.action_set()
+            SwfSpec.mec(), doc.framework, doc.actions
         )
         ids = [s.theory_ids for s in found]
         assert frozenset({"t"}) in ids
@@ -307,9 +307,7 @@ def test_criterion_10_scenario_round_trip():
     ]
     for i in range(200):
         framework, actions = random_framework(rng)
-        doc = ScenarioDocument.from_framework(
-            framework, actions, default_swf=swf_cycle[i % len(swf_cycle)]
-        )
+        doc = ScenarioDocument(framework, actions, swf_cycle[i % len(swf_cycle)])
         data = serialize_scenario(doc)
         again = parse_scenario(data)
         assert again == doc

@@ -137,6 +137,21 @@ class TestRank:
             main(["rank", FROBO, "--swf", "hm", "--trim-mode", "literal"]) == 2
         )
 
+    def test_k_without_swf_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "with_swf.scenario"
+        path.write_text(BASE + "swf mec\n")
+        flags = [
+            ["--k", "1/10", "--trim-mode", "renormalized"],
+            ["--k", "1/10"],
+            ["--trim-mode", "literal"],
+        ]
+        for command in ("rank", "dominant"):
+            for extra in flags:
+                assert main([command, str(path), *extra]) == 2, (command, extra)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "usage error:" in captured.err
+
     def test_bad_rational_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["rank", FROBO, "--swf", "kthm", "--k", "0.5x"])
@@ -250,6 +265,23 @@ class TestWitness:
         assert payload["construction"]["bound"] == {"num": 4, "den": 5}
         assert payload["construction"]["step"] == {"num": 13, "den": 5}
 
+    def test_frobo_construction_lines(self, capsys):
+        cases = [
+            (
+                ["--swf", "mec", "--credence", "1/100"],
+                "construction: target=l a_star=r bound=10099/100 step=10149/50 "
+                "permutation=r,l injected_id=ft",
+            ),
+            (
+                ["--swf", "kthm", "--k", "1/10", "--kprime", "1/5"],
+                "construction: target=r a_star=l bound=10099/125 step=20323/125 "
+                "permutation=l,r injected_id=ft",
+            ),
+        ]
+        for flags, line in cases:
+            assert main(["witness", FROBO, *flags]) == 0
+            assert line in capsys.readouterr().out.splitlines()
+
     def test_out_file_reloads_and_ranks(self, base_scenario, tmp_path, capsys):
         out_file = tmp_path / "extended.scenario"
         code = main(
@@ -263,7 +295,7 @@ class TestWitness:
         assert f"wrote {out_file}" in capsys.readouterr().out
         doc = parse_scenario(out_file.read_bytes())
         assert doc.default_swf == SwfSpec.mec()
-        assert [t.id for t in doc.theories] == ["t", "ft"]
+        assert doc.framework.theory_ids() == ("t", "ft")
         payload = run_json(capsys, ["rank", str(out_file), "--json"])
         assert payload["ranking"] == [["a"], ["b"]]
 

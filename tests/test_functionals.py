@@ -63,6 +63,25 @@ def definition_scan_wmedian(framework, action):
     return values[valid[0] - 1]
 
 
+def definition_scan_trimmed_wam(framework, action, k, trim_mode):
+    # Independent oracle: drop the longest prefix and the longest suffix of
+    # the sorted evaluations whose slice sums of credence stay <= k.
+    order = sorted(
+        range(len(framework.theories)),
+        key=lambda i: (framework.theories[i].evaluations[action], i),
+    )
+    values = [framework.theories[i].evaluations[action] for i in order]
+    weights = [framework.credences[framework.theories[i].id] for i in order]
+    n = len(values)
+    lo = max(m for m in range(n + 1) if sum(weights[:m], F(0)) <= k)
+    hi = min(m for m in range(n + 1) if sum(weights[m:], F(0)) <= k)
+    assert lo <= hi
+    total = sum((w * v for w, v in zip(weights[lo:hi], values[lo:hi])), F(0))
+    if trim_mode is TrimMode.RENORMALIZED:
+        return total / sum(weights[lo:hi], F(0))
+    return total
+
+
 class TestSwfSpec:
     def test_kthm_requires_k(self):
         with pytest.raises(InvalidSpec):
@@ -120,7 +139,8 @@ class TestSortedEvaluations:
             [Theory("t1", {"a": 7}), Theory("t2", {"a": 7}), Theory("t3", {"a": 0})],
             {"t1": "1/3", "t2": "1/3", "t3": "1/3"},
         )
-        assert sorted_evaluations(framework, "a").ids() == ("t3", "t1", "t2")
+        pairs = sorted_evaluations(framework, "a").pairs
+        assert [tid for tid, _ in pairs] == ["t3", "t1", "t2"]
 
 
 class TestTrimSets:
@@ -190,6 +210,24 @@ class TestWmedian:
             {"t1": "1/2", "t2": "1/2"},
         )
         assert wmedian(framework, "a") == HALF
+
+    def test_credences_below_one_are_reported(self):
+        framework = EthicalFramework(
+            [Theory("t1", {"a": 0}), Theory("t2", {"a": 1})],
+            {"t1": "1/8", "t2": "1/4"},
+        )
+        with pytest.raises(CredenceSumNotOne) as info:
+            wmedian(framework, "a")
+        assert info.value.total == F(3, 8)
+
+    def test_credences_above_one_are_reported(self):
+        framework = EthicalFramework(
+            [Theory("t1", {"a": 0}), Theory("t2", {"a": 1})],
+            {"t1": "3/4", "t2": "3/4"},
+        )
+        with pytest.raises(CredenceSumNotOne) as info:
+            wmedian(framework, "a")
+        assert info.value.total == F(3, 2)
 
 
 class TestAggregate:
@@ -262,6 +300,17 @@ def test_wmedian_agrees_with_definition_scan(fw_actions, data):
         assert wmedian(framework, action) == definition_scan_wmedian(
             framework, action
         )
+
+
+@given(strategies.frameworks(), strategies.trim_levels)
+def test_trimmed_wam_agrees_with_definition_scan(fw_actions, k):
+    framework, actions = fw_actions
+    for mode in TrimMode:
+        scores = aggregate(SwfSpec.kthm(k, mode), framework, actions).scores
+        for action in actions:
+            assert scores[action] == definition_scan_trimmed_wam(
+                framework, action, k, mode
+            )
 
 
 @given(strategies.frameworks())

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given
 
 from moralagg import (
+    ActionSet,
+    EthicalFramework,
     NumberFormatError,
     Ranking,
     ScenarioDocument,
     ScenarioSyntaxError,
-    ScenarioTheory,
     SwfSpec,
+    Theory,
     TrimMode,
     ValidationError,
     aggregate,
@@ -25,11 +27,14 @@ FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 
 def frobo_document():
     return ScenarioDocument(
-        actions=("l", "r"),
-        theories=(
-            ScenarioTheory("u", F(99, 100), {"l": F(-1), "r": F(-2)}),
-            ScenarioTheory("d", F(1, 100), {"l": F(-10000), "r": F(-1000)}),
+        EthicalFramework(
+            [
+                Theory("u", {"l": F(-1), "r": F(-2)}),
+                Theory("d", {"l": F(-10000), "r": F(-1000)}),
+            ],
+            {"u": F(99, 100), "d": F(1, 100)},
         ),
+        ActionSet(("l", "r")),
     )
 
 
@@ -41,9 +46,9 @@ class TestParsing:
     def test_three_theory_fixture(self):
         data = (FIXTURES / "tiebreaker.scenario").read_bytes()
         doc = parse_scenario(data)
-        assert doc.actions == ("l", "r")
-        assert [t.id for t in doc.theories] == ["u", "dprime", "t"]
-        assert doc.theories[2].credence == F(1, 100)
+        assert doc.actions == ActionSet(("l", "r"))
+        assert doc.framework.theory_ids() == ("u", "dprime", "t")
+        assert doc.framework.credence("t") == F(1, 100)
         assert doc.default_swf is None
 
     def test_fixtures_are_canonical(self):
@@ -70,12 +75,12 @@ class TestParsing:
         doc = parse_scenario(
             "actions a\ntheory t credence 1.00\n  eval a 0.125\n"
         )
-        assert doc.theories[0].credence == F(1)
-        assert doc.theories[0].evaluations["a"] == F(1, 8)
+        assert doc.framework.credence("t") == F(1)
+        assert doc.framework.theory("t").evaluations["a"] == F(1, 8)
 
     def test_version_header_is_optional(self):
         doc = parse_scenario("actions a\ntheory t credence 1\n  eval a 0\n")
-        assert doc.actions == ("a",)
+        assert doc.actions == ActionSet(("a",))
 
     def test_swf_variants(self):
         base = "actions a\ntheory t credence 1\n  eval a 0\n"
@@ -98,7 +103,7 @@ class TestParsing:
 
     def test_document_is_usable_directly(self):
         doc = parse_scenario((FIXTURES / "frobo.scenario").read_bytes())
-        result = aggregate(SwfSpec.hm(), doc.framework(), doc.action_set())
+        result = aggregate(SwfSpec.hm(), doc.framework, doc.actions)
         assert result.ranking == Ranking([{"r"}, {"l"}])
 
 
@@ -336,11 +341,9 @@ class TestValidationErrors:
 class TestSerialization:
     def test_canonical_form(self):
         doc = ScenarioDocument(
-            actions=("a", "b"),
-            theories=(
-                ScenarioTheory("t", F(1), {"a": F(1, 2), "b": F(-3)}),
-            ),
-            default_swf=SwfSpec.kthm("1/10"),
+            EthicalFramework([Theory("t", {"a": F(1, 2), "b": F(-3)})], {"t": F(1)}),
+            ActionSet(("a", "b")),
+            SwfSpec.kthm("1/10"),
         )
         assert serialize_scenario(doc) == (
             b"scenario v1\n"
