@@ -27,7 +27,7 @@ framework = EthicalFramework(
 )
 actions = ActionSet(("act",))
 
-print("evaluations sorted ascending:", sorted_evaluations(framework, "act").pairs)
+print("evaluations sorted ascending:", sorted_evaluations(framework, "act"))
 
 # bottom_k collects the longest prefix of the sorted order whose total
 # credence stays at or below k; top_k mirrors it from the other end.

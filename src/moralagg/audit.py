@@ -118,24 +118,13 @@ def run_audit(seed: int = 0, trials: int = 200) -> AuditReport:
             )
         )
 
-    for k in CAPTURE_LEVELS:
-        passed = 0
-        for _ in range(trials):
-            adversary = random_adversary(rng, ("a", "b"), max_mass=k)
-            if probe_kthm_non_fanatical(k, adversary):
-                passed += 1
-        suites.append(
-            SuiteResult("kthm resistance", f"k={k}", passed, trials)
-        )
-
-    for k in CAPTURE_LEVELS:
-        passed = 0
-        for _ in range(trials):
-            adversary = random_adversary(rng, ("a", "b"), max_mass=k)
-            if probe_hm_non_fanatical(k, adversary):
-                passed += 1
-        suites.append(
-            SuiteResult("hm resistance", f"k={k}", passed, trials)
-        )
+    for name, probe in (
+        ("kthm resistance", probe_kthm_non_fanatical),
+        ("hm resistance", probe_hm_non_fanatical),
+    ):
+        for k in CAPTURE_LEVELS:
+            draws = (random_adversary(rng, ("a", "b"), k) for _ in range(trials))
+            passed = sum(probe(k, adversary) for adversary in draws)
+            suites.append(SuiteResult(name, f"k={k}", passed, trials))
 
     return AuditReport(seed=seed, trials=trials, suites=tuple(suites))

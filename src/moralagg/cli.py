@@ -2,7 +2,8 @@
 
 Subcommands: validate, rank, compare, dominant, witness, audit.  Exit
 codes: 0 on success, 1 on domain or input errors (bad scenario files,
-failed constructions, oversized enumerations), 2 on usage errors.
+failed constructions, oversized enumerations, results too large to
+render), 2 on usage errors.  Either kind of error leaves stdout empty.
 
 Human-readable output always shows exact fractions; decimal forms are
 6-significant-digit approximations and are marked with "~=".  With
@@ -15,8 +16,10 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import decimal
 import enum
+import io
 import json
 import sys
 from fractions import Fraction
@@ -26,6 +29,7 @@ from typing import Mapping, Optional, Sequence
 from .audit import run_audit
 from .core import MoralAggError, Ranking, to_rational
 from .fanaticism import (
+    DominanceVerdict,
     WitnessReport,
     enumerate_dominant_subsets,
     witness_kthm,
@@ -89,6 +93,14 @@ def _swf_json(spec: SwfSpec):
     return {"kind": spec.kind, "k": spec.k, "trim_mode": spec.trim_mode}
 
 
+def _rankings_json(verdict: DominanceVerdict):
+    return {
+        "full_ranking": verdict.full_ranking,
+        "dominant_ranking": verdict.dominant_ranking,
+        "yielding_ranking": verdict.yielding_ranking,
+    }
+
+
 def _load(path: str) -> ScenarioDocument:
     return parse_scenario(Path(path).read_bytes())
 
@@ -106,8 +118,7 @@ def _spec_from_flags(args, document: ScenarioDocument) -> SwfSpec:
     if kind is SwfKind.KTHM:
         if args.k is None:
             raise _UsageError("--swf kthm needs --k")
-        mode = TrimMode(args.trim_mode) if args.trim_mode else TrimMode.LITERAL
-        return SwfSpec.kthm(args.k, mode)
+        return SwfSpec.kthm(args.k, args.trim_mode or TrimMode.LITERAL)
     if args.k is not None:
         raise _UsageError(f"--k only applies to --swf kthm, not {args.swf}")
     if args.trim_mode is not None:
@@ -175,16 +186,9 @@ def _cmd_rank(args) -> int:
 
 
 def _compare_specs(args) -> list[SwfSpec]:
-    ks = args.k or [Fraction(1, 10)]
-    mode = TrimMode(args.trim_mode) if args.trim_mode else TrimMode.LITERAL
-    seen = []
-    for k in ks:
-        if k not in seen:
-            seen.append(k)
-    specs = [SwfSpec.mec(), SwfSpec.maximin()]
-    specs.extend(SwfSpec.kthm(k, mode) for k in sorted(seen))
-    specs.append(SwfSpec.hm())
-    return specs
+    mode = args.trim_mode or TrimMode.LITERAL
+    kthms = [SwfSpec.kthm(k, mode) for k in sorted(set(args.k or [Fraction(1, 10)]))]
+    return [SwfSpec.mec(), SwfSpec.maximin(), *kthms, SwfSpec.hm()]
 
 
 def _cmd_compare(args) -> int:
@@ -259,9 +263,7 @@ def _cmd_dominant(args) -> int:
                     {
                         "theory_ids": subset.theory_ids,
                         "total_credence": subset.total_credence,
-                        "full_ranking": subset.verdict.full_ranking,
-                        "dominant_ranking": subset.verdict.dominant_ranking,
-                        "yielding_ranking": subset.verdict.yielding_ranking,
+                        **_rankings_json(subset.verdict),
                     }
                     for subset in found
                 ],
@@ -279,40 +281,28 @@ def _cmd_dominant(args) -> int:
     return 0
 
 
-def _witness_report(args, document: ScenarioDocument) -> tuple[WitnessReport, SwfSpec]:
-    framework = document.framework
-    actions = document.actions
-    if args.swf == "mec":
-        if args.credence is None:
-            raise _UsageError("--swf mec needs --credence")
-        if args.kprime is not None or args.k is not None:
-            raise _UsageError("--k/--kprime only apply to --swf kthm")
-        return (
-            witness_mec(framework, actions, args.credence, target=args.target),
-            SwfSpec.mec(),
-        )
-    if args.swf == "maximin":
-        if args.credence is None:
-            raise _UsageError("--swf maximin needs --credence")
-        if args.kprime is not None or args.k is not None:
-            raise _UsageError("--k/--kprime only apply to --swf kthm")
-        if args.target is not None:
-            raise _UsageError("--target does not apply to --swf maximin")
-        return (
-            witness_maximin(framework, actions, args.credence),
-            SwfSpec.maximin(),
-        )
-    if args.k is None or args.kprime is None:
+def _witness_report(args, document: ScenarioDocument) -> WitnessReport:
+    kthm = args.swf == "kthm"
+    if kthm and (args.k is None or args.kprime is None):
         raise _UsageError("--swf kthm needs --k and --kprime")
-    return (
-        witness_kthm(framework, actions, args.k, args.kprime, target=args.target),
-        SwfSpec.kthm(args.k, TrimMode.LITERAL),
-    )
+    if not kthm and args.credence is None:
+        raise _UsageError(f"--swf {args.swf} needs --credence")
+    if not kthm and (args.k is not None or args.kprime is not None):
+        raise _UsageError("--k/--kprime only apply to --swf kthm")
+    if args.swf == "maximin" and args.target is not None:
+        raise _UsageError("--target does not apply to --swf maximin")
+    framework, actions = document.framework, document.actions
+    if kthm:
+        return witness_kthm(framework, actions, args.k, args.kprime, target=args.target)
+    if args.swf == "maximin":
+        return witness_maximin(framework, actions, args.credence)
+    return witness_mec(framework, actions, args.credence, target=args.target)
 
 
 def _cmd_witness(args) -> int:
     document = _load(args.scenario)
-    report, spec = _witness_report(args, document)
+    report = _witness_report(args, document)
+    spec = report.spec
     actions = document.actions
     injected_id = next(iter(report.injected_theories))
     injected = report.extended_framework.theory(injected_id)
@@ -335,9 +325,7 @@ def _cmd_witness(args) -> int:
                 "construction": dict(report.construction),
                 "verdict": {
                     "is_dominant": report.verdict.is_dominant,
-                    "full_ranking": report.verdict.full_ranking,
-                    "dominant_ranking": report.verdict.dominant_ranking,
-                    "yielding_ranking": report.verdict.yielding_ranking,
+                    **_rankings_json(report.verdict),
                 },
                 "out": str(out_path) if out_path else None,
             }
@@ -531,19 +519,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; its stdout is written only if it raised no error."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except MoralAggError as exc:
+    except (MoralAggError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        # Python refuses to render an int past sys.get_int_max_str_digits();
+        # the limit stays, since the conversion is quadratic in the length.
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result has more than {limit} digits", file=sys.stderr)
         return 1
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

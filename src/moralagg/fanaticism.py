@@ -132,13 +132,14 @@ class DominantSubset:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """A verified capturing extension.
+    """A capturing extension, verified dominant under ``spec``.
 
     ``construction`` records the intermediate constants (bounds, floor
     values, the action permutation, the chosen target) so a reader can
     recompute the injected evaluations by hand.
     """
 
+    spec: SwfSpec
     extended_framework: EthicalFramework
     injected_theories: frozenset[TheoryId]
     total_credence: Fraction
@@ -273,11 +274,16 @@ def _verified(
     spec: SwfSpec,
     framework: EthicalFramework,
     actions: ActionSet,
-    injected: Theory,
+    values: Mapping[ActionId, Fraction],
     credence: Fraction,
     construction: Mapping[str, object],
 ) -> WitnessReport:
-    """Extend by ``injected`` at ``credence`` and re-verify its dominance."""
+    """Inject a fresh theory with ``values`` at ``credence``; re-verify it.
+
+    The injected id is added to ``construction`` as its last key.
+    """
+    injected = Theory(_fresh_theory_id(framework.theory_ids()), values)
+    construction = {**construction, "injected_id": injected.id}
     extended = extend(framework, [(injected, credence)])
     ids = frozenset({injected.id})
     verdict = is_dominant_subset(spec, extended, actions, ids)
@@ -285,7 +291,7 @@ def _verified(
         raise ConstructionFailed(
             f"constructed extension failed dominance verification: {construction!r}"
         )
-    return WitnessReport(extended, ids, credence, verdict, construction)
+    return WitnessReport(spec, extended, ids, credence, verdict, construction)
 
 
 def _ladder_witness(
@@ -315,19 +321,15 @@ def _ladder_witness(
     # target last, so the injected theory alone ranks the target strictly best.
     permutation = tuple(a for a in actions if a != chosen) + (chosen,)
     step = m / credence
-    ft = Theory(
-        _fresh_theory_id(framework.theory_ids()),
-        {a: step * (i + 1) for i, a in enumerate(permutation)},
-    )
+    values = {a: step * (i + 1) for i, a in enumerate(permutation)}
     construction = {
         "target": chosen,
         "a_star": a_star,
         "bound": s,
         "step": m,
         "permutation": permutation,
-        "injected_id": ft.id,
     }
-    return _verified(spec, framework, actions, ft, credence, construction)
+    return _verified(spec, framework, actions, values, credence, construction)
 
 
 def witness_mec(
@@ -395,14 +397,8 @@ def witness_maximin(
     else:
         a_star = _declaration_first(base.ranking.groups[0], actions)
     values = {a: floor - 2 if a == a_star else floor - 1 for a in actions}
-    ft = Theory(_fresh_theory_id(framework.theory_ids()), values)
-    construction = {
-        "a_star": a_star,
-        "floor": floor,
-        "reading": reading,
-        "injected_id": ft.id,
-    }
-    return _verified(spec, framework, actions, ft, k, construction)
+    construction = {"a_star": a_star, "floor": floor, "reading": reading}
+    return _verified(spec, framework, actions, values, k, construction)
 
 
 def witness_kthm(
@@ -477,7 +473,8 @@ def _probe(
     ``structural_check(extended, action)`` raises
     :class:`ConstructionFailed` when the reason the rule resists fails
     on ``action``; in ``extended`` the base theory comes first and the
-    adversary after it.  The ranking ``b ≺ a`` must also survive.
+    adversary after it.  The full ranking, read from the dominance
+    verdict, must also stay ``b ≺ a``.
     """
     fixed = [(t, to_rational(c)) for t, c in adversary]
     mass = sum((c for _, c in fixed), Fraction(0))
@@ -487,15 +484,15 @@ def _probe(
     extended = extend(base, fixed)
     for action in actions:
         structural_check(extended, action)
-    result = aggregate(spec, extended, actions)
-    if result.ranking != Ranking([{"b"}, {"a"}]):
-        raise ConstructionFailed(
-            f"{spec.label()} ranking moved to {result.ranking} under the adversary"
-        )
-    adversary_ids = frozenset(t.id for t, _ in fixed)
-    if not adversary_ids:
+    if not fixed:
         return True
+    adversary_ids = frozenset(t.id for t, _ in fixed)
     verdict = is_dominant_subset(spec, extended, actions, adversary_ids)
+    if verdict.full_ranking != Ranking([{"b"}, {"a"}]):
+        raise ConstructionFailed(
+            f"{spec.label()} ranking moved to {verdict.full_ranking} "
+            "under the adversary"
+        )
     return not verdict.is_dominant
 
 

@@ -23,6 +23,7 @@ from typing import Optional, Union
 from .core import (
     ActionId,
     ActionSet,
+    CredenceOutOfRange,
     CredenceSumNotOne,
     EthicalFramework,
     MissingEvaluation,
@@ -55,15 +56,6 @@ class TrimMode(enum.Enum):
     RENORMALIZED = "renormalized"
 
 
-def _coerce_trim_mode(value: Union[TrimMode, str]) -> TrimMode:
-    if isinstance(value, TrimMode):
-        return value
-    try:
-        return TrimMode(value)
-    except (ValueError, TypeError):
-        raise InvalidSpec(f"unknown trim mode {value!r}") from None
-
-
 @dataclass(frozen=True)
 class SwfSpec:
     """Which functional to run, plus the trim level and mode for ``kthm``.
@@ -81,7 +73,10 @@ class SwfSpec:
     def __post_init__(self):
         if not isinstance(self.kind, SwfKind):
             raise InvalidSpec(f"unknown functional kind {self.kind!r}")
-        object.__setattr__(self, "trim_mode", _coerce_trim_mode(self.trim_mode))
+        try:
+            object.__setattr__(self, "trim_mode", TrimMode(self.trim_mode))
+        except (ValueError, TypeError):
+            raise InvalidSpec(f"unknown trim mode {self.trim_mode!r}") from None
         if self.kind is SwfKind.KTHM:
             if self.k is None:
                 raise InvalidSpec("kthm needs a trim level k")
@@ -101,8 +96,10 @@ class SwfSpec:
         return cls(SwfKind.MAXIMIN)
 
     @classmethod
-    def kthm(cls, k: RationalLike, trim_mode: TrimMode = TrimMode.LITERAL) -> "SwfSpec":
-        return cls(SwfKind.KTHM, to_rational(k), trim_mode)
+    def kthm(
+        cls, k: RationalLike, trim_mode: Union[TrimMode, str] = TrimMode.LITERAL
+    ) -> "SwfSpec":
+        return cls(SwfKind.KTHM, k, trim_mode)
 
     @classmethod
     def hm(cls) -> "SwfSpec":
@@ -112,16 +109,6 @@ class SwfSpec:
         if self.kind is SwfKind.KTHM:
             return f"kthm(k={self.k}, {self.trim_mode.value})"
         return self.kind.value
-
-
-@dataclass(frozen=True)
-class SortedEvaluations:
-    """Evaluations of one action, ascending, declaration order on ties."""
-
-    pairs: tuple[tuple[TheoryId, Fraction], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 def _evaluations(framework: EthicalFramework, action: ActionId) -> list[Fraction]:
@@ -149,37 +136,28 @@ def min_evaluation(framework: EthicalFramework, action: ActionId) -> Fraction:
 
 def sorted_evaluations(
     framework: EthicalFramework, action: ActionId
-) -> SortedEvaluations:
-    """Theories sorted by their evaluation of ``action``, ascending.
+) -> tuple[tuple[TheoryId, Fraction], ...]:
+    """``(theory id, evaluation)`` pairs for ``action``, ascending by value.
 
     Exactly equal evaluations keep declaration order, which makes every
     downstream prefix/suffix computation deterministic.
     """
     values = _evaluations(framework, action)
     order = sorted(range(len(values)), key=lambda i: (values[i], i))
-    return SortedEvaluations(
-        tuple((framework.theories[i].id, values[i]) for i in order)
-    )
-
-
-def _check_trim_level(k: RationalLike) -> Fraction:
-    k = to_rational(k)
-    if not (0 <= k < HALF):
-        raise InvalidSpec(f"trim level k must lie in [0, 1/2), got {k}")
-    return k
+    return tuple((framework.theories[i].id, values[i]) for i in order)
 
 
 def _trim(
     framework: EthicalFramework, action: ActionId, k: Fraction
-) -> tuple[SortedEvaluations, int, int]:
+) -> tuple[tuple[tuple[TheoryId, Fraction], ...], int, int]:
     """One sort of ``action``'s evaluations, walked from both ends.
 
-    Returns the sorted evaluations with bounds ``lo`` and ``hi`` into
-    their pairs: ``[:lo]`` is the maximal low prefix of credence mass
-    <= k, ``[hi:]`` the maximal high suffix, and ``[lo:hi]`` survives.
+    Returns the sorted pairs with bounds ``lo`` and ``hi`` into them:
+    ``[:lo]`` is the maximal low prefix of credence mass <= k, ``[hi:]``
+    the maximal high suffix, and ``[lo:hi]`` survives.  ``k`` comes from
+    a :class:`SwfSpec`, which has checked it.
     """
-    se = sorted_evaluations(framework, action)
-    pairs = se.pairs
+    pairs = sorted_evaluations(framework, action)
     credences = framework.credences
     lo, mass = 0, Fraction(0)
     for tid, _ in pairs:
@@ -193,23 +171,23 @@ def _trim(
         if mass > k:
             break
         hi -= 1
-    return se, lo, hi
+    return pairs, lo, hi
 
 
 def bottom_k(
     framework: EthicalFramework, action: ActionId, k: RationalLike
 ) -> frozenset[TheoryId]:
     """Ids forming the maximal low-evaluation prefix of credence mass <= k."""
-    se, lo, _ = _trim(framework, action, _check_trim_level(k))
-    return frozenset(tid for tid, _ in se.pairs[:lo])
+    pairs, lo, _ = _trim(framework, action, SwfSpec.kthm(k).k)
+    return frozenset(tid for tid, _ in pairs[:lo])
 
 
 def top_k(
     framework: EthicalFramework, action: ActionId, k: RationalLike
 ) -> frozenset[TheoryId]:
     """Ids forming the maximal high-evaluation suffix of credence mass <= k."""
-    se, _, hi = _trim(framework, action, _check_trim_level(k))
-    return frozenset(tid for tid, _ in se.pairs[hi:])
+    pairs, _, hi = _trim(framework, action, SwfSpec.kthm(k).k)
+    return frozenset(tid for tid, _ in pairs[hi:])
 
 
 def trimmed_wam(
@@ -225,16 +203,21 @@ def trimmed_wam(
     surviving mass instead.  Both sides trim at most ``k < 1/2`` of the
     mass, so the surviving mass is always positive.
     """
-    k = _check_trim_level(k)
-    trim_mode = _coerce_trim_mode(trim_mode)
-    se, lo, hi = _trim(framework, action, k)
+    return _trimmed_wam(framework, action, SwfSpec.kthm(k, trim_mode))
+
+
+def _trimmed_wam(
+    framework: EthicalFramework, action: ActionId, spec: SwfSpec
+) -> Fraction:
+    """The ``kthm`` score of ``action`` under ``spec``, checked on creation."""
+    pairs, lo, hi = _trim(framework, action, spec.k)
     total = Fraction(0)
     mass = Fraction(0)
-    for tid, value in se.pairs[lo:hi]:
+    for tid, value in pairs[lo:hi]:
         c = framework.credences[tid]
         total += c * value
         mass += c
-    if trim_mode is TrimMode.RENORMALIZED:
+    if spec.trim_mode is TrimMode.RENORMALIZED:
         return total / mass
     return total
 
@@ -247,14 +230,19 @@ def wmedian(framework: EthicalFramework, action: ActionId) -> Fraction:
     With positive credences summing to 1 this is equivalent to the prefix
     sums straddling 1/2, so either exactly one index is valid or exactly
     two adjacent ones are; in the latter case the two evaluations are
-    averaged.  Credences that do not sum to 1 raise
+    averaged.  A credence outside (0, 1] raises
+    :class:`CredenceOutOfRange`, and credences that do not sum to 1 raise
     :class:`CredenceSumNotOne`.
     """
     prefix = Fraction(0)
     valid: list[Fraction] = []
-    for tid, value in sorted_evaluations(framework, action).pairs:
+    for tid, value in sorted_evaluations(framework, action):
+        c = framework.credences[tid]
+        # 0 < c <= 1 in integers; Fraction comparisons cost a quarter of the loop.
+        if not 0 < c.numerator <= c.denominator:
+            raise CredenceOutOfRange(tid, c)
         before = prefix
-        prefix += framework.credences[tid]
+        prefix += c
         if before <= HALF <= prefix:
             valid.append(value)
     if prefix != 1:
@@ -279,10 +267,8 @@ def _score(spec: SwfSpec, framework: EthicalFramework, action: ActionId) -> Frac
     if spec.kind is SwfKind.MAXIMIN:
         return min_evaluation(framework, action)
     if spec.kind is SwfKind.KTHM:
-        return trimmed_wam(framework, action, spec.k, spec.trim_mode)
-    if spec.kind is SwfKind.HM:
-        return wmedian(framework, action)
-    raise InvalidSpec(f"unknown functional kind {spec.kind!r}")
+        return _trimmed_wam(framework, action, spec)
+    return wmedian(framework, action)
 
 
 def aggregate(

@@ -14,43 +14,41 @@ from typing import Optional, Sequence
 from .core import ActionSet, EthicalFramework, Theory
 
 _ACTION_NAMES = ("a", "b", "c", "d", "e", "f")
+_N_ACTIONS = (2, 4)
+_LO, _HI = -100, 100
+_MAX_DEN = 12
+_MAX_WEIGHT = 60
+_TIE_PROB = 0.25
+_MAX_ADVERSARIES = 3
 
 
-def random_rational(
-    rng: random.Random, lo: int = -100, hi: int = 100, max_den: int = 12
-) -> Fraction:
-    den = rng.randint(1, max_den)
-    return Fraction(rng.randint(lo * den, hi * den), den)
+def random_rational(rng: random.Random) -> Fraction:
+    """A fraction in [_LO, _HI] with denominator at most ``_MAX_DEN``."""
+    den = rng.randint(1, _MAX_DEN)
+    return Fraction(rng.randint(_LO * den, _HI * den), den)
 
 
-def random_credences(rng: random.Random, n: int, max_weight: int = 60) -> list[Fraction]:
-    weights = [rng.randint(1, max_weight) for _ in range(n)]
+def random_credences(rng: random.Random, n: int) -> list[Fraction]:
+    weights = [rng.randint(1, _MAX_WEIGHT) for _ in range(n)]
     total = sum(weights)
     return [Fraction(w, total) for w in weights]
 
 
 def random_framework(
-    rng: random.Random,
-    n_theories: tuple[int, int] = (2, 5),
-    n_actions: tuple[int, int] = (2, 4),
-    lo: int = -100,
-    hi: int = 100,
-    tie_prob: float = 0.25,
+    rng: random.Random, n_theories: tuple[int, int] = (2, 5)
 ) -> tuple[EthicalFramework, ActionSet]:
     """One framework with random exact evaluations and credences.
 
-    With probability ``tie_prob`` per theory, one evaluation is copied
+    With probability ``_TIE_PROB`` per theory, one evaluation is copied
     from another theory or action so that exact ties actually occur in
     the population.
     """
     nt = rng.randint(*n_theories)
-    na = rng.randint(*n_actions)
+    na = rng.randint(*_N_ACTIONS)
     actions = ActionSet(_ACTION_NAMES[:na])
-    evaluations = [
-        {a: random_rational(rng, lo, hi) for a in actions} for _ in range(nt)
-    ]
+    evaluations = [{a: random_rational(rng) for a in actions} for _ in range(nt)]
     for i in range(nt):
-        if rng.random() < tie_prob:
+        if rng.random() < _TIE_PROB:
             j = rng.randrange(nt)
             evaluations[i][rng.choice(actions.actions)] = evaluations[j][
                 rng.choice(actions.actions)
@@ -65,14 +63,12 @@ def random_framework(
 
 def random_majority_framework(
     rng: random.Random,
-    n_theories: tuple[int, int] = (2, 5),
-    n_actions: tuple[int, int] = (2, 4),
 ) -> tuple[EthicalFramework, ActionSet, str]:
     """A random framework in which one theory holds credence above 1/2."""
-    framework, actions = random_framework(rng, n_theories, n_actions)
+    framework, actions = random_framework(rng)
     ids = framework.theory_ids()
     boss = rng.choice(ids)
-    weights = {tid: rng.randint(1, 60) for tid in ids}
+    weights = {tid: rng.randint(1, _MAX_WEIGHT) for tid in ids}
     rest = sum(w for tid, w in weights.items() if tid != boss)
     weights[boss] = 2 * rest + 1
     total = sum(weights.values())
@@ -84,18 +80,14 @@ _ADVERSARY_SCALES = (1, 100, 10**6, 10**9)
 
 
 def random_adversary(
-    rng: random.Random,
-    actions: Sequence[str],
-    max_mass: Fraction,
-    max_theories: int = 3,
-    id_prefix: str = "adv",
+    rng: random.Random, actions: Sequence[str], max_mass: Fraction
 ) -> list[tuple[Theory, Fraction]]:
-    """Up to ``max_theories`` theories of total credence in (0, max_mass].
+    """Up to ``_MAX_ADVERSARIES`` theories of total credence in (0, max_mass].
 
     Evaluations are drawn at wildly different magnitudes, up to 1e9, so
-    the probes face genuinely extreme stakes.
+    the probes face genuinely extreme stakes.  Ids are ``adv1``, ``adv2``, ...
     """
-    n = rng.randint(1, max_theories)
+    n = rng.randint(1, _MAX_ADVERSARIES)
     mass = max_mass * Fraction(rng.randint(1, 20), 20)
     weights = [rng.randint(1, 30) for _ in range(n)]
     total = sum(weights)
@@ -107,7 +99,7 @@ def random_adversary(
             for a in actions
         }
         out.append(
-            (Theory(f"{id_prefix}{i + 1}", values), mass * Fraction(weights[i], total))
+            (Theory(f"adv{i + 1}", values), mass * Fraction(weights[i], total))
         )
     return out
 

@@ -300,23 +300,25 @@ class TestWitness:
         assert payload["ranking"] == [["a"], ["b"]]
 
     def test_usage_errors(self, base_scenario, capsys):
+        only_kthm = "usage error: --k/--kprime only apply to --swf kthm\n"
+        kthm_needs = "usage error: --swf kthm needs --k and --kprime\n"
         cases = [
-            ["witness", base_scenario, "--swf", "mec"],
-            ["witness", base_scenario, "--swf", "maximin"],
-            [
-                "witness", base_scenario,
-                "--swf", "maximin", "--credence", "1/4", "--target", "b",
-            ],
-            ["witness", base_scenario, "--swf", "kthm", "--k", "1/10"],
-            ["witness", base_scenario, "--swf", "kthm", "--kprime", "1/5"],
-            [
-                "witness", base_scenario,
-                "--swf", "mec", "--credence", "1/4", "--kprime", "1/5",
-            ],
+            (["mec"], "usage error: --swf mec needs --credence\n"),
+            (["maximin"], "usage error: --swf maximin needs --credence\n"),
+            (
+                ["maximin", "--credence", "1/4", "--target", "b"],
+                "usage error: --target does not apply to --swf maximin\n",
+            ),
+            (["maximin", "--credence", "1/4", "--k", "1/10"], only_kthm),
+            (["kthm", "--k", "1/10"], kthm_needs),
+            (["kthm", "--kprime", "1/5"], kthm_needs),
+            (["kthm"], kthm_needs),
+            (["mec", "--credence", "1/4", "--kprime", "1/5"], only_kthm),
         ]
-        for argv in cases:
+        for flags, err in cases:
+            argv = ["witness", base_scenario, "--swf", *flags]
             assert main(argv) == 2, argv
-            assert "usage error:" in capsys.readouterr().err
+            assert capsys.readouterr() == ("", err), argv
 
     def test_failed_construction_is_a_domain_error(self, base_scenario, capsys):
         assert (
@@ -361,3 +363,49 @@ class TestAudit:
 
     def test_negative_trials_usage_error(self, capsys):
         assert main(["audit", "--trials", "-1"]) == 2
+
+
+class TestOversizedResults:
+    """Numbers past Python's int-to-str digit limit end in one error line.
+
+    Each literal below has 3001 digits, within the limit, but the mean of
+    action ``a`` has a denominator of about 6000 digits.
+    """
+
+    @staticmethod
+    def scenario(tmp_path, b1, b2):
+        n = 10**3000
+        path = tmp_path / "big.scenario"
+        path.write_text(
+            "scenario v1\nactions a b\n"
+            f"theory t1 credence 1/2\n  eval a 1/{n + 3}\n  eval b {b1}\n"
+            f"theory t2 credence 1/2\n  eval a 1/{n + 7}\n  eval b {b2}\n"
+        )
+        return str(path)
+
+    def assert_one_error_line(self, argv, capsys):
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a result has more than 4300 digits\n"
+
+    def test_rank_and_compare(self, tmp_path, capsys):
+        path = self.scenario(tmp_path, 2, 1)
+        for argv in (
+            ["rank", path, "--swf", "mec"],
+            ["rank", path, "--swf", "mec", "--json"],
+            ["rank", path, "--swf", "hm"],
+            ["compare", path],
+        ):
+            self.assert_one_error_line(argv, capsys)
+        assert main(["validate", path]) == 0
+        assert main(["dominant", path, "--swf", "mec"]) == 0
+
+    def test_witness_out_writes_nothing(self, tmp_path, capsys):
+        # With b at 0 the huge mean of a sets the ladder's step.
+        path = self.scenario(tmp_path, 0, 0)
+        out_file = tmp_path / "extended.scenario"
+        argv = ["witness", path, "--swf", "mec", "--credence", "1/10"]
+        self.assert_one_error_line(argv + ["--out", str(out_file)], capsys)
+        assert not out_file.exists()
+        self.assert_one_error_line(argv + ["--json"], capsys)

@@ -151,6 +151,7 @@ class TestWitnessMec:
     def test_textbook_quarter_credence(self):
         framework, actions = two_action_base()
         report = witness_mec(framework, actions, "1/4", target="b")
+        assert report.spec == SwfSpec.mec()
         ft = report.extended_framework.theory("ft")
         assert ft.evaluations == {"a": F(12), "b": F(24)}
         assert report.extended_framework.credences == {
@@ -206,6 +207,7 @@ class TestWitnessMaximin:
     def test_textbook_quarter_credence(self):
         framework, actions = two_action_base()
         report = witness_maximin(framework, actions, "1/4")
+        assert report.spec == SwfSpec.maximin()
         ft = report.extended_framework.theory("ft")
         assert report.construction["floor"] == F(0)
         assert report.construction["a_star"] == "a"
@@ -252,6 +254,7 @@ class TestWitnessKthm:
     def test_textbook_values(self):
         framework, actions = two_action_base()
         report = witness_kthm(framework, actions, "1/10", "1/5", target="b")
+        assert report.spec == SwfSpec.kthm(F(1, 10), TrimMode.LITERAL)
         ft = report.extended_framework.theory("ft")
         assert report.construction["bound"] == F(4, 5)
         assert report.construction["step"] == F(13, 5)

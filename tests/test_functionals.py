@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from moralagg import (
     ActionSet,
+    CredenceOutOfRange,
     CredenceSumNotOne,
     EthicalFramework,
     InvalidSpec,
@@ -131,15 +132,14 @@ class TestMinEvaluation:
 class TestSortedEvaluations:
     def test_ascending_by_value(self):
         framework, _ = frobo()
-        se = sorted_evaluations(framework, "r")
-        assert se.pairs == (("d", F(-1000)), ("u", F(-2)))
+        assert sorted_evaluations(framework, "r") == (("d", F(-1000)), ("u", F(-2)))
 
     def test_ties_keep_declaration_order(self):
         framework = EthicalFramework(
             [Theory("t1", {"a": 7}), Theory("t2", {"a": 7}), Theory("t3", {"a": 0})],
             {"t1": "1/3", "t2": "1/3", "t3": "1/3"},
         )
-        pairs = sorted_evaluations(framework, "a").pairs
+        pairs = sorted_evaluations(framework, "a")
         assert [tid for tid, _ in pairs] == ["t3", "t1", "t2"]
 
 
@@ -228,6 +228,27 @@ class TestWmedian:
         with pytest.raises(CredenceSumNotOne) as info:
             wmedian(framework, "a")
         assert info.value.total == F(3, 2)
+
+
+    def test_zero_credence_is_reported(self):
+        # Dropping the zero theory gives median 10; counting it gave 5.
+        framework = EthicalFramework(
+            [Theory("t1", {"a": 0}), Theory("t2", {"a": 10}), Theory("t3", {"a": 20})],
+            {"t1": "1/2", "t2": 0, "t3": "1/2"},
+        )
+        with pytest.raises(CredenceOutOfRange) as info:
+            wmedian(framework, "a")
+        assert (info.value.theory_id, info.value.value) == ("t2", 0)
+
+    def test_negative_credence_is_reported(self):
+        # Sums to 1, and once returned 10 without an error.
+        framework = EthicalFramework(
+            [Theory("t1", {"a": 0}), Theory("t2", {"a": 10}), Theory("t3", {"a": 20})],
+            {"t1": "3/4", "t2": "-1/4", "t3": "1/2"},
+        )
+        with pytest.raises(CredenceOutOfRange) as info:
+            wmedian(framework, "a")
+        assert (info.value.theory_id, info.value.value) == ("t2", F(-1, 4))
 
 
 class TestAggregate:
