@@ -7,6 +7,16 @@ Dominance carries no credence bound: a majority theory that dominates
 under the highest median is the expected, non-fanatical outcome.  The
 low-credence condition belongs to fanaticism, defined next.
 
+Dominance is decided without building restricted frameworks.  Each call
+of :func:`is_dominant_subset` or :func:`enumerate_dominant_subsets`
+validates and compiles the framework once into exact integers (see
+``functionals._mask_scorer``); a subset is then a bitmask over the
+declared theories, and its ranking is read from one integer score per
+action.  Enumeration visits each subset together with its complement,
+scores every mask once, and compares the two rankings with each other
+and with the full ranking; ``Ranking`` objects are built only for the
+subsets it reports.
+
 A functional is *fanatical* at credence level k when every framework can
 be captured this way by newly added theories of total credence at most k.
 This module constructs explicit capturing extensions for the mean and
@@ -23,7 +33,6 @@ returning quietly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -39,7 +48,6 @@ from .core import (
     TheoryId,
     UnknownTheoryId,
     extend,
-    restrict,
     to_rational,
 )
 from .functionals import (
@@ -47,9 +55,9 @@ from .functionals import (
     AggregateResult,
     SwfSpec,
     TrimMode,
+    _mask_scorer,
+    _trim,
     aggregate,
-    bottom_k,
-    top_k,
     wmedian,
 )
 
@@ -156,7 +164,10 @@ def is_dominant_subset(
     """Check whether ``theory_ids`` is a dominant subset of ``framework``.
 
     Both the candidate and its complement are renormalized restrictions
-    of the framework, and all three rankings are computed under ``spec``.
+    of the framework, and all three rankings are computed under ``spec``:
+    the framework is validated and compiled once, and the full set, the
+    candidate and the complement are ranked as three bitmasks.  The
+    rankings equal those :func:`aggregate` gives for the restrictions.
     No credence bound applies: a subset of any total credence may be
     dominant.
 
@@ -173,16 +184,45 @@ def is_dominant_subset(
         raise UnknownTheoryId(tid)
     if not candidate or candidate == all_ids:
         raise NotProperSubset()
-    full = aggregate(spec, framework, actions).ranking
-    dominant = aggregate(spec, restrict(framework, candidate), actions).ranking
-    yielding = aggregate(
-        spec, restrict(framework, all_ids - candidate), actions
-    ).ranking
+    scores = _mask_scorer(spec, framework, actions)
+    everyone = (1 << len(all_ids)) - 1
+    bits = _bits(framework)
+    mask = sum(bits[tid] for tid in candidate)
+    full, dominant, yielding = (
+        _ranking(actions, _dense_ranks(scores(m)))
+        for m in (everyone, mask, everyone ^ mask)
+    )
     return DominanceVerdict(
         is_dominant=(full == dominant) and (dominant != yielding),
         full_ranking=full,
         dominant_ranking=dominant,
         yielding_ranking=yielding,
+    )
+
+
+def _bits(framework: EthicalFramework) -> dict[TheoryId, int]:
+    """Each theory's bit in a subset mask: ``1 << i`` for the ``i``-th declared."""
+    return {t.id: 1 << i for i, t in enumerate(framework.theories)}
+
+
+def _dense_ranks(scores: tuple) -> tuple[int, ...]:
+    """Each score's place among the distinct scores: equal iff same ranking.
+
+    Sorting and comparing neighbours avoids hashing, which is slow for
+    the ``Fraction`` scores of renormalized ``kthm``.
+    """
+    order = sorted(range(len(scores)), key=scores.__getitem__)
+    ranks = [0] * len(scores)
+    for prev, cur in zip(order, order[1:]):
+        ranks[cur] = ranks[prev] + (scores[cur] != scores[prev])
+    return tuple(ranks)
+
+
+def _ranking(actions: ActionSet, ranks: tuple[int, ...]) -> Ranking:
+    """The ranking whose groups are the actions of equal dense rank, worst first."""
+    return Ranking(
+        [a for a, r in zip(actions, ranks) if r == place]
+        for place in range(max(ranks) + 1)
     )
 
 
@@ -196,25 +236,48 @@ def enumerate_dominant_subsets(
 
     All nonempty proper subsets are checked, so the work is exponential
     in the number of theories; frameworks larger than ``max_theories``
-    are rejected up front with :class:`TooManyTheories`.  Results are
-    ordered by subset size, then lexicographically by ids.
+    are rejected up front with :class:`TooManyTheories`.  The framework
+    is validated and compiled once.  Each subset and its complement are
+    then visited together, once: both masks are scored and keyed by the
+    dense rank of each action's score, so two subsets rank alike exactly
+    when their keys are equal.  A side is reported when its key equals
+    the full framework's and differs from the other side's, with the
+    verdict :func:`is_dominant_subset` would give.  No per-subset table
+    is kept.  Results are ordered by subset size, then lexicographically
+    by ids.  A framework of fewer than two theories has no nonempty
+    proper subset and gives ``[]``.
     """
     ids = sorted(framework.theory_ids())
     if len(ids) > max_theories:
         raise TooManyTheories(len(ids), max_theories)
-    found: list[DominantSubset] = []
-    for size in range(1, len(ids)):
-        for combo in itertools.combinations(ids, size):
-            verdict = is_dominant_subset(spec, framework, actions, combo)
-            if verdict.is_dominant:
-                found.append(
-                    DominantSubset(
-                        theory_ids=frozenset(combo),
-                        total_credence=framework.total_credence(combo),
-                        verdict=verdict,
-                    )
-                )
-    return found
+    if len(ids) < 2:
+        return []
+    scores = _mask_scorer(spec, framework, actions)
+    everyone = (1 << len(ids)) - 1
+    full_key = _dense_ranks(scores(everyone))
+    full = _ranking(actions, full_key)
+    bits = _bits(framework)
+    found: list[tuple[tuple[int, list[TheoryId]], DominantSubset]] = []
+    # Masks without the top bit meet every {subset, complement} pair once.
+    for mask in range(1, 1 << (len(ids) - 1)):
+        key = _dense_ranks(scores(mask))
+        other_key = _dense_ranks(scores(everyone ^ mask))
+        if key == other_key:
+            continue
+        if key == full_key:
+            members, rest = mask, other_key
+        elif other_key == full_key:
+            members, rest = everyone ^ mask, key
+        else:
+            continue
+        combo = sorted(tid for tid, bit in bits.items() if members & bit)
+        verdict = DominanceVerdict(True, full, full, _ranking(actions, rest))
+        subset = DominantSubset(
+            frozenset(combo), framework.total_credence(combo), verdict
+        )
+        found.append(((len(combo), combo), subset))
+    found.sort(key=lambda entry: entry[0])
+    return [subset for _, subset in found]
 
 
 def _fresh_theory_id(taken: Iterable[TheoryId], base: str = "ft") -> TheoryId:
@@ -514,7 +577,8 @@ def probe_kthm_non_fanatical(
     k = _credence_level(k)
 
     def all_trimmed(extended: EthicalFramework, action: ActionId) -> None:
-        shed = bottom_k(extended, action, k) | top_k(extended, action, k)
+        pairs, lo, hi = _trim(extended, action, k)
+        shed = {tid for tid, _ in pairs[:lo] + pairs[hi:]}
         if not {t.id for t in extended.theories[1:]} <= shed:
             raise ConstructionFailed(
                 f"adversary theory survived trimming on {action!r}"

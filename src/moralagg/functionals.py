@@ -18,7 +18,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from math import lcm
+from typing import Callable, Optional, Union
 
 from .core import (
     ActionId,
@@ -63,7 +64,9 @@ class SwfSpec:
     ``k`` is required for ``kthm`` and must satisfy ``0 <= k < 1/2``; it
     is meaningless (and rejected) for the other kinds.  ``trim_mode``
     selects whether the surviving credence mass is left as is
-    (``LITERAL``, the default) or divided out (``RENORMALIZED``).
+    (``LITERAL``, the default) or divided out (``RENORMALIZED``); the
+    other kinds keep the default and reject ``RENORMALIZED``, so that
+    equal rules have equal specs.
     """
 
     kind: SwfKind
@@ -86,6 +89,8 @@ class SwfSpec:
                 raise InvalidSpec(f"trim level k must lie in [0, 1/2), got {k}")
         elif self.k is not None:
             raise InvalidSpec(f"{self.kind.value} takes no trim level")
+        elif self.trim_mode is not TrimMode.LITERAL:
+            raise InvalidSpec(f"{self.kind.value} takes no trim mode")
 
     @classmethod
     def mec(cls) -> "SwfSpec":
@@ -283,3 +288,105 @@ def aggregate(
     validate_framework(framework, actions)
     scores = {a: _score(spec, framework, a) for a in actions}
     return AggregateResult(spec, scores, ranking_from_scores(scores))
+
+
+def _mask_scorer(
+    spec: SwfSpec, framework: EthicalFramework, actions: ActionSet
+) -> Callable[[int], tuple]:
+    """Compile ``framework`` once; score any subset of its theories by bitmask.
+
+    Bit ``i`` of a mask selects the ``i``-th declared theory.  For a
+    nonempty mask the returned function gives one score per action, in
+    the order of ``actions``, and ranking these scores gives exactly the
+    ranking that :func:`aggregate` gives for the renormalized restriction
+    to that subset.  The scores themselves are not the printed ones:
+    credences become integer weights (scaled by the lcm of their
+    denominators), every evaluation is scaled by one lcm common to all
+    actions, and the subset's mass is never divided out, because each
+    rule's ranking is unchanged when every score is scaled by the same
+    positive factor.  Each action's theory order (by value, then
+    declaration) is sorted once, here.
+
+    The framework is validated once, as :func:`aggregate` would.
+    """
+    validate_framework(framework, actions)
+    credences = [framework.credences[t.id] for t in framework.theories]
+    den = lcm(*(c.denominator for c in credences))
+    weights = [c.numerator * (den // c.denominator) for c in credences]
+    bits = [1 << i for i in range(len(weights))]
+    columns = [[t.evaluations[a] for t in framework.theories] for a in actions]
+    scale = lcm(*(v.denominator for column in columns for v in column))
+    # Per action, (bit, weight, value) ascending; the stable sort keeps
+    # tied values in declaration order, as sorted_evaluations does.
+    orders = []
+    for column in columns:
+        values = [v.numerator * (scale // v.denominator) for v in column]
+        order = sorted(range(len(values)), key=values.__getitem__)
+        orders.append([(bits[i], weights[i], values[i]) for i in order])
+
+    def mass(mask: int) -> int:
+        return sum(w for bit, w in zip(bits, weights) if mask & bit)
+
+    if spec.kind is SwfKind.MEC:
+        return lambda mask: tuple(
+            sum(w * v for bit, w, v in order if mask & bit) for order in orders
+        )
+    if spec.kind is SwfKind.MAXIMIN:
+        return lambda mask: tuple(
+            next(v for bit, _, v in order if mask & bit) for order in orders
+        )
+    if spec.kind is SwfKind.HM:
+        return lambda mask: tuple(
+            _doubled_median(order, mask, mass(mask)) for order in orders
+        )
+    k_num, k_den = spec.k.numerator, spec.k.denominator
+    renormalized = spec.trim_mode is TrimMode.RENORMALIZED
+
+    def trimmed(order: list, mask: int, limit: int):
+        kept = [(w, v) for bit, w, v in order if mask & bit]
+        lo = _trim_count(kept, k_den, limit)
+        hi = len(kept) - _trim_count(reversed(kept), k_den, limit)
+        total = sum(w * v for w, v in kept[lo:hi])
+        if renormalized:
+            return Fraction(total, sum(w for w, _ in kept[lo:hi]))
+        return total
+
+    def kthm(mask: int) -> tuple:
+        limit = k_num * mass(mask)
+        return tuple(trimmed(order, mask, limit) for order in orders)
+
+    return kthm
+
+
+def _trim_count(kept, k_den: int, limit: int) -> int:
+    """How many leading ``(weight, value)`` pairs a ``kthm`` trim sheds.
+
+    A prefix of weight ``p`` in a subset of mass ``M`` is trimmable while
+    ``p / M <= k``, that is ``p * den(k) <= num(k) * M = limit``.
+    """
+    count = prefix = 0
+    for w, _ in kept:
+        prefix += w
+        if prefix * k_den > limit:
+            break
+        count += 1
+    return count
+
+
+def _doubled_median(order: list, mask: int, mass: int) -> int:
+    """Twice the weighted median of the masked part of ``order``.
+
+    As in :func:`wmedian`, an entry is valid when ``2*before <= mass <=
+    2*prefix``.  The first entry with ``2*prefix >= mass`` is valid; when
+    ``2*prefix == mass`` exactly, the next masked entry is valid too and
+    the two values are averaged.  Doubling keeps the score an integer.
+    """
+    kept = ((w, v) for bit, w, v in order if mask & bit)
+    prefix = 0
+    for w, v in kept:
+        prefix += w
+        if 2 * prefix > mass:
+            return 2 * v
+        if 2 * prefix == mass:
+            return v + next(kept)[1]
+    raise AssertionError("a nonempty mask has a median")

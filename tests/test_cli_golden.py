@@ -4,9 +4,11 @@ Each CLI case runs ``main(argv)`` in-process, in a scratch directory
 holding copies of the fixtures, and compares the exit code and the
 SHA-256 of stdout, of stderr and of the ``--out`` file (when one is
 written) with the table in ``cli_golden.json``.  The cases cover every
-subcommand in text and ``--json`` form on both fixtures, every ``kthm``
-trim mode, every ``witness`` usage error, and the domain errors of each
-command.  Each demo case compares the SHA-256 of the demo's stdout.
+subcommand in text and ``--json`` form on both fixtures, ``dominant``
+under every rule on an eight-theory scenario with exact ties, every
+``kthm`` trim mode, every ``witness`` usage error, and the domain errors
+of each command.  Each demo case compares the SHA-256 of the demo's
+stdout.
 
 Re-record the table (``PYTHONPATH=src python tests/test_cli_golden.py``)
 only in a change that intends to alter CLI output, and name every case
@@ -113,6 +115,10 @@ def _cases() -> dict[str, list[str]]:
                     ["witness", path] + flags + ["--out", OUT] + tail
                 )
     for fmt, tail in (("text", []), ("json", ["--json"])):
+        for variant, flags in SWF_FLAGS.items():
+            cases[f"dominant-ties8-{variant}-{fmt}"] = (
+                ["dominant", "ties8.scenario"] + flags + tail
+            )
         cases[f"rank-swf-line-{fmt}"] = ["rank", "swf.scenario"] + tail
         cases[f"dominant-swf-line-{fmt}"] = ["dominant", "swf.scenario"] + tail
         cases[f"audit-seed0-{fmt}"] = ["audit", "--trials", "3"] + tail
@@ -125,11 +131,61 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 
+# Eight theories over four actions, for ``dominant`` at a size where every
+# rule finds dozens of dominant subsets: t1 and t6 are identical, t4 ties
+# every action, credence denominators are pairwise coprime, and the full
+# ranking ties two actions under maximin and under the median.
+TIES8 = """scenario v1
+actions a b c d
+theory t1 credence 1/5
+  eval a 3
+  eval b 1
+  eval c 1
+  eval d 0
+theory t2 credence 1/7
+  eval a 1
+  eval b 3
+  eval c 2
+  eval d 2
+theory t3 credence 1/9
+  eval a 0
+  eval b 0
+  eval c 4
+  eval d 1/2
+theory t4 credence 1/11
+  eval a 2
+  eval b 2
+  eval c 2
+  eval d 2
+theory t5 credence 1/13
+  eval a -1
+  eval b 5/3
+  eval c 0
+  eval d 3
+theory t6 credence 1/8
+  eval a 3
+  eval b 1
+  eval c 1
+  eval d 0
+theory t7 credence 1/16
+  eval a 1/2
+  eval b -2
+  eval c 1
+  eval d 7
+theory t8 credence 137441/720720
+  eval a 1
+  eval b 1
+  eval c 3
+  eval d -1
+"""
+
+
 def _prepare(workdir: Path) -> None:
     for name in ("frobo", "tiebreaker"):
         shutil.copy(FIXTURES / f"{name}.scenario", workdir)
     frobo = (FIXTURES / "frobo.scenario").read_text()
     (workdir / "swf.scenario").write_text(frobo + "swf kthm k 1/10 trim renormalized\n")
+    (workdir / "ties8.scenario").write_text(TIES8)
     (workdir / "bad.scenario").write_text(
         "scenario v1\nactions a\ntheory t credence 1e0\n  eval a 1\n"
     )

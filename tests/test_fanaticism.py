@@ -30,6 +30,7 @@ from moralagg import (
     witness_maximin,
     witness_mec,
 )
+from moralagg import functionals
 from moralagg.sampling import random_framework, random_majority_framework
 
 import strategies
@@ -289,6 +290,19 @@ class TestProbes:
     def test_extreme_adversary_is_trimmed_out(self):
         ft = Theory("ft", {"a": -(10**9), "b": 10**9})
         assert probe_kthm_non_fanatical("1/10", [(ft, "1/20")])
+
+    def test_trimmed_mean_probe_sorts_each_action_once(self, monkeypatch):
+        sorted_actions = []
+        original = functionals.sorted_evaluations
+
+        def counting(framework, action):
+            sorted_actions.append(action)
+            return original(framework, action)
+
+        monkeypatch.setattr(functionals, "sorted_evaluations", counting)
+        ft = Theory("ft", {"a": -(10**9), "b": 10**9})
+        assert probe_kthm_non_fanatical("1/10", [(ft, "1/20")])
+        assert sorted_actions == ["a", "b"]
 
     def test_empty_adversary_is_vacuous(self):
         assert probe_kthm_non_fanatical("1/10", [])

@@ -99,6 +99,12 @@ class TestSwfSpec:
         with pytest.raises(InvalidSpec):
             SwfSpec(SwfKind.MEC, k=F(1, 10))
 
+    def test_trim_mode_rejected_for_other_kinds(self):
+        for kind in (SwfKind.MEC, SwfKind.MAXIMIN, SwfKind.HM):
+            with pytest.raises(InvalidSpec, match=f"{kind.value} takes no trim mode"):
+                SwfSpec(kind, trim_mode="renormalized")
+            assert SwfSpec(kind, trim_mode="literal") == SwfSpec(kind)
+
     def test_labels(self):
         assert SwfSpec.mec().label() == "mec"
         assert SwfSpec.kthm("1/10").label() == "kthm(k=1/10, literal)"
