@@ -22,11 +22,10 @@ from fractions import Fraction
 
 from .fanaticism import (
     ConstructionFailed,
+    _ladder_witness,
     probe_hm_non_fanatical,
     probe_kthm_non_fanatical,
-    witness_kthm,
     witness_maximin,
-    witness_mec,
 )
 from .functionals import SwfSpec, TrimMode, aggregate
 from .sampling import random_adversary, random_framework, random_target
@@ -87,7 +86,7 @@ def run_audit(seed: int = 0, trials: int = 200) -> AuditReport:
         def run_mec(framework, actions, k=k):
             base = aggregate(SwfSpec.mec(), framework, actions)
             target = random_target(rng, base.ranking, actions)
-            return witness_mec(framework, actions, k, target=target)
+            return _ladder_witness(base, framework, actions, k, target)
         suites.append(
             _capture_suite(rng, trials, "mec capture", f"k={k}", run_mec)
         )
@@ -105,9 +104,7 @@ def run_audit(seed: int = 0, trials: int = 200) -> AuditReport:
                 SwfSpec.kthm(KTHM_TRIM_LEVEL, TrimMode.LITERAL), framework, actions
             )
             target = random_target(rng, base.ranking, actions)
-            return witness_kthm(
-                framework, actions, KTHM_TRIM_LEVEL, k_prime, target=target
-            )
+            return _ladder_witness(base, framework, actions, k_prime, target)
         suites.append(
             _capture_suite(
                 rng,

@@ -9,13 +9,13 @@ low-credence condition belongs to fanaticism, defined next.
 
 Dominance is decided without building restricted frameworks.  Each call
 of :func:`is_dominant_subset` or :func:`enumerate_dominant_subsets`
-validates and compiles the framework once into exact integers (see
-``functionals._mask_scorer``); a subset is then a bitmask over the
-declared theories, and its ranking is read from one integer score per
-action.  Enumeration visits each subset together with its complement,
-scores every mask once, and compares the two rankings with each other
-and with the full ranking; ``Ranking`` objects are built only for the
-subsets it reports.
+validates and compiles the framework once into exact integers, the
+same compile that :func:`~moralagg.functionals.aggregate` reads.  A
+subset is then a bitmask over the declared theories, and its ranking is
+read from one integer score per action.  Enumeration visits each subset
+together with its complement, scores every mask once, and compares the
+two rankings with each other and with the full ranking; ``Ranking``
+objects are built only for the subsets it reports.
 
 A functional is *fanatical* at credence level k when every framework can
 be captured this way by newly added theories of total credence at most k.
@@ -53,12 +53,11 @@ from .core import (
 from .functionals import (
     HALF,
     AggregateResult,
+    SwfKind,
     SwfSpec,
     TrimMode,
-    _mask_scorer,
-    _trim,
+    _Compiled,
     aggregate,
-    wmedian,
 )
 
 
@@ -184,12 +183,16 @@ def is_dominant_subset(
         raise UnknownTheoryId(tid)
     if not candidate or candidate == all_ids:
         raise NotProperSubset()
-    scores = _mask_scorer(spec, framework, actions)
-    everyone = (1 << len(all_ids)) - 1
-    bits = _bits(framework)
-    mask = sum(bits[tid] for tid in candidate)
+    compiled = _Compiled(spec, framework, actions)
+    members = zip(framework.theories, compiled.bits)
+    return _verdict(compiled, sum(bit for t, bit in members if t.id in candidate))
+
+
+def _verdict(compiled: _Compiled, mask: int) -> DominanceVerdict:
+    """The dominance verdict on the subset ``mask`` of a compiled framework."""
+    everyone = compiled.everyone
     full, dominant, yielding = (
-        _ranking(actions, _dense_ranks(scores(m)))
+        _ranking(compiled.actions, _dense_ranks(compiled.score(m)))
         for m in (everyone, mask, everyone ^ mask)
     )
     return DominanceVerdict(
@@ -198,11 +201,6 @@ def is_dominant_subset(
         dominant_ranking=dominant,
         yielding_ranking=yielding,
     )
-
-
-def _bits(framework: EthicalFramework) -> dict[TheoryId, int]:
-    """Each theory's bit in a subset mask: ``1 << i`` for the ``i``-th declared."""
-    return {t.id: 1 << i for i, t in enumerate(framework.theories)}
 
 
 def _dense_ranks(scores: tuple) -> tuple[int, ...]:
@@ -244,19 +242,20 @@ def enumerate_dominant_subsets(
     the full framework's and differs from the other side's, with the
     verdict :func:`is_dominant_subset` would give.  No per-subset table
     is kept.  Results are ordered by subset size, then lexicographically
-    by ids.  A framework of fewer than two theories has no nonempty
+    by ids.  A valid framework of fewer than two theories has no nonempty
     proper subset and gives ``[]``.
     """
     ids = sorted(framework.theory_ids())
     if len(ids) > max_theories:
         raise TooManyTheories(len(ids), max_theories)
+    compiled = _Compiled(spec, framework, actions)
     if len(ids) < 2:
         return []
-    scores = _mask_scorer(spec, framework, actions)
-    everyone = (1 << len(ids)) - 1
+    scores = compiled.score
+    everyone = compiled.everyone
     full_key = _dense_ranks(scores(everyone))
     full = _ranking(actions, full_key)
-    bits = _bits(framework)
+    bits = list(zip(framework.theory_ids(), compiled.bits))
     found: list[tuple[tuple[int, list[TheoryId]], DominantSubset]] = []
     # Masks without the top bit meet every {subset, complement} pair once.
     for mask in range(1, 1 << (len(ids) - 1)):
@@ -270,7 +269,7 @@ def enumerate_dominant_subsets(
             members, rest = everyone ^ mask, key
         else:
             continue
-        combo = sorted(tid for tid, bit in bits.items() if members & bit)
+        combo = sorted(tid for tid, bit in bits if members & bit)
         verdict = DominanceVerdict(True, full, full, _ranking(actions, rest))
         subset = DominantSubset(
             frozenset(combo), framework.total_credence(combo), verdict
@@ -357,28 +356,47 @@ def _verified(
     return WitnessReport(spec, extended, ids, credence, verdict, construction)
 
 
+def _capture_base(
+    spec: SwfSpec, framework: EthicalFramework, actions: ActionSet
+) -> AggregateResult:
+    """The result under ``spec`` that a ladder witness starts from."""
+    if len(actions) < 2:
+        raise MoralAggError("capturing needs at least two actions")
+    return aggregate(spec, framework, actions)
+
+
 def _ladder_witness(
-    spec: SwfSpec,
+    base: AggregateResult,
     framework: EthicalFramework,
     actions: ActionSet,
     credence: Fraction,
     target: Optional[ActionId],
-    bound: Callable[[AggregateResult], Fraction],
 ) -> WitnessReport:
-    """Capture ``spec`` with one theory walking the actions up a ladder.
+    """Capture ``base.spec``, ``mec`` or ``kthm``, with a theory on a ladder.
 
-    ``bound(base)`` gives ``s``, a bound on the absolute share of any
-    action's extended score that the base theories contribute.  At the
-    injected ``credence`` each rung of the ladder adds ``m = 2s + 1``,
-    more than the base theories can ever take back, so the extended
-    scores form a strict chain ending at the target.
+    ``base`` is the rule's result on ``framework``.  ``s`` bounds the
+    absolute share of any action's extended score that the base theories
+    contribute: under ``mec`` the largest absolute base score; under
+    ``kthm``, whose injected theory is never trimmed, the base theories'
+    mass ``1 - credence`` times their largest credence-weighted sum of
+    absolute evaluations, which dominates every partially-trimmed
+    remainder.  At the injected ``credence`` each rung of the ladder adds
+    ``m = 2s + 1``, more than the base theories can ever take back, so
+    the extended scores form a strict chain ending at the target.
     """
-    if len(actions) < 2:
-        raise MoralAggError("capturing needs at least two actions")
-    base = aggregate(spec, framework, actions)
     chosen = _choose_target(base.ranking, actions, target)
     a_star = _declaration_first(base.ranking.maximal_group() - {chosen}, actions)
-    s = bound(base)
+    if base.spec.kind is SwfKind.MEC:
+        s = max(abs(v) for v in base.scores.values())
+    else:
+        s = (1 - credence) * max(
+            sum(
+                (framework.credences[t.id] * abs(t.evaluation(a))
+                 for t in framework.theories),
+                Fraction(0),
+            )
+            for a in actions
+        )
     m = 2 * s + 1
     # Values step, 2*step, ..., n*step along a permutation that puts the
     # target last, so the injected theory alone ranks the target strictly best.
@@ -392,7 +410,7 @@ def _ladder_witness(
         "step": m,
         "permutation": permutation,
     }
-    return _verified(spec, framework, actions, values, credence, construction)
+    return _verified(base.spec, framework, actions, values, credence, construction)
 
 
 def witness_mec(
@@ -419,14 +437,9 @@ def witness_mec(
         The re-verification failed (this would be a bug, not an input
         defect).
     """
-    return _ladder_witness(
-        SwfSpec.mec(),
-        framework,
-        actions,
-        _credence_level(k),
-        target,
-        lambda base: max(abs(v) for v in base.scores.values()),
-    )
+    k = _credence_level(k)
+    base = _capture_base(SwfSpec.mec(), framework, actions)
+    return _ladder_witness(base, framework, actions, k, target)
 
 
 def witness_maximin(
@@ -476,9 +489,8 @@ def witness_kthm(
     A theory whose credence exceeds the trim level can never be trimmed,
     on either side: any trimmed prefix or suffix has mass at most ``k``.
     So the same ladder construction as for the mean rule goes through,
-    with the bound taken over the credence-weighted absolute evaluations
-    (which dominates every partially-trimmed remainder).  Verification
-    runs in LITERAL mode at level ``k``.
+    with the bound taken over the credence-weighted absolute evaluations.
+    Verification runs in LITERAL mode at level ``k``.
 
     Raises
     ------
@@ -492,20 +504,8 @@ def witness_kthm(
     k_prime = to_rational(k_prime)
     if not (0 <= k < k_prime < HALF):
         raise BadCredencePair(k, k_prime)
-
-    def bound(base: AggregateResult) -> Fraction:
-        return (1 - k_prime) * max(
-            sum(
-                (framework.credences[t.id] * abs(t.evaluation(a))
-                 for t in framework.theories),
-                Fraction(0),
-            )
-            for a in actions
-        )
-
-    return _ladder_witness(
-        SwfSpec.kthm(k, TrimMode.LITERAL), framework, actions, k_prime, target, bound
-    )
+    base = _capture_base(SwfSpec.kthm(k, TrimMode.LITERAL), framework, actions)
+    return _ladder_witness(base, framework, actions, k_prime, target)
 
 
 CANONICAL_ACTIONS = ActionSet(("a", "b"))
@@ -529,28 +529,27 @@ def _probe(
     spec: SwfSpec,
     k: Fraction,
     adversary: Sequence[tuple[Theory, RationalLike]],
-    structural_check: Callable[[EthicalFramework, ActionId], None],
+    structural_check: Callable[[_Compiled], None],
 ) -> bool:
     """Extend the canonical family by ``adversary`` and test its dominance.
 
-    ``structural_check(extended, action)`` raises
-    :class:`ConstructionFailed` when the reason the rule resists fails
-    on ``action``; in ``extended`` the base theory comes first and the
-    adversary after it.  The full ranking, read from the dominance
-    verdict, must also stay ``b ≺ a``.
+    The extended framework is compiled once under ``spec``; the base
+    theory is its bit 1 and the adversary the bits above.
+    ``structural_check(compiled)`` raises :class:`ConstructionFailed`
+    when the reason the rule resists fails on some action.  The full
+    ranking, read from the dominance verdict on the same compile, must
+    also stay ``b ≺ a``.
     """
     fixed = [(t, to_rational(c)) for t, c in adversary]
     mass = sum((c for _, c in fixed), Fraction(0))
     if mass > k:
         raise CredenceTooHigh(mass, k)
     base, actions = canonical_family([t.id for t, _ in fixed])
-    extended = extend(base, fixed)
-    for action in actions:
-        structural_check(extended, action)
+    compiled = _Compiled(spec, extend(base, fixed), actions)
+    structural_check(compiled)
     if not fixed:
         return True
-    adversary_ids = frozenset(t.id for t, _ in fixed)
-    verdict = is_dominant_subset(spec, extended, actions, adversary_ids)
+    verdict = _verdict(compiled, compiled.everyone ^ 1)
     if verdict.full_ranking != Ranking([{"b"}, {"a"}]):
         raise ConstructionFailed(
             f"{spec.label()} ranking moved to {verdict.full_ranking} "
@@ -576,13 +575,14 @@ def probe_kthm_non_fanatical(
     """
     k = _credence_level(k)
 
-    def all_trimmed(extended: EthicalFramework, action: ActionId) -> None:
-        pairs, lo, hi = _trim(extended, action, k)
-        shed = {tid for tid, _ in pairs[:lo] + pairs[hi:]}
-        if not {t.id for t in extended.theories[1:]} <= shed:
-            raise ConstructionFailed(
-                f"adversary theory survived trimming on {action!r}"
-            )
+    def all_trimmed(compiled: _Compiled) -> None:
+        for action in compiled.actions:
+            low, high = compiled.shed(action)
+            shed = sum(bit for bit, _, _ in low + high)
+            if (compiled.everyone ^ 1) & ~shed:
+                raise ConstructionFailed(
+                    f"adversary theory survived trimming on {action!r}"
+                )
 
     return _probe(SwfSpec.kthm(k, TrimMode.LITERAL), k, adversary, all_trimmed)
 
@@ -598,10 +598,13 @@ def probe_hm_non_fanatical(
     move.  Returns True iff the adversary is *not* a dominant subset.
     """
 
-    def majority_dictates(extended: EthicalFramework, action: ActionId) -> None:
-        if wmedian(extended, action) != extended.theories[0].evaluation(action):
-            raise ConstructionFailed(
-                f"majority theory failed to dictate the median of {action!r}"
-            )
+    def majority_dictates(compiled: _Compiled) -> None:
+        medians = compiled.score(compiled.everyone)
+        for action, doubled in zip(compiled.actions, medians):
+            base = next(v for bit, _, v in compiled.rows[action] if bit == 1)
+            if doubled != 2 * base:
+                raise ConstructionFailed(
+                    f"majority theory failed to dictate the median of {action!r}"
+                )
 
     return _probe(SwfSpec.hm(), _credence_level(k), adversary, majority_dictates)

@@ -10,7 +10,11 @@ a weak order over the actions (worst group first):
   credence mass does not exceed ``k`` on each side,
 - ``hm``: the credence-weighted median of the evaluations.
 
-All scores are exact rationals, so ties are exact ties.
+All scores are exact rationals, so ties are exact ties.  Each rule is
+implemented once, over one integer compile of the framework
+(:class:`_Compiled`).  :func:`aggregate`, the per-action functions and
+the dominance checks of :mod:`moralagg.fanaticism` all read it; the first
+two divide its scaling back out of the scores they return.
 """
 
 from __future__ import annotations
@@ -19,18 +23,17 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Union
+from operator import itemgetter
+from typing import Optional, Sequence, Union
 
 from .core import (
     ActionId,
     ActionSet,
-    CredenceOutOfRange,
-    CredenceSumNotOne,
     EthicalFramework,
-    MissingEvaluation,
     MoralAggError,
     Ranking,
     RationalLike,
+    Theory,
     TheoryId,
     UnknownAction,
     ranking_from_scores,
@@ -116,27 +119,186 @@ class SwfSpec:
         return self.kind.value
 
 
-def _evaluations(framework: EthicalFramework, action: ActionId) -> list[Fraction]:
-    missing = [t for t in framework.theories if action not in t.evaluations]
-    if missing:
-        if len(missing) == len(framework.theories):
-            raise UnknownAction(action)
-        raise MissingEvaluation(missing[0].id, action)
-    return [t.evaluations[action] for t in framework.theories]
+class _Compiled:
+    """``framework`` over ``actions`` in exact integers, validated once.
+
+    Credences become integer weights, scaled by ``den``, the lcm of their
+    denominators.  Evaluations become integer values, scaled by
+    ``scale``, one lcm common to every action.  Each action keeps one row
+    ``(bit, weight, value)`` per theory, where bit ``1 << i`` stands for
+    the ``i``-th declared theory in a subset mask.  The rows are in
+    declaration order; for ``kthm`` and ``hm``, the rules that read an
+    order, they are sorted ascending by value, ties in declaration order.
+
+    ``score(mask)`` scores any nonempty subset of the theories: one
+    integer per action, in the order of ``actions`` (a ``Fraction`` for
+    renormalized ``kthm``).  The subset's mass is never divided out, and
+    each rule's ranking is unchanged when every score is scaled by the
+    same positive factor, so these scores rank a subset exactly as
+    :func:`aggregate` ranks its renormalized restriction.
+    :meth:`exact` divides the scaling back out of the full framework's
+    scores.
+    """
+
+    def __init__(
+        self, spec: SwfSpec, framework: EthicalFramework, actions: Sequence[ActionId]
+    ):
+        validate_framework(framework, actions)
+        self.spec = spec
+        self.actions = actions
+        credences = [framework.credences[t.id] for t in framework.theories]
+        self.den = lcm(*(c.denominator for c in credences))
+        self.weights = [c.numerator * (self.den // c.denominator) for c in credences]
+        self.bits = [1 << i for i in range(len(credences))]
+        self.everyone = (1 << len(credences)) - 1
+        ratios = {
+            a: [t.evaluations[a].as_integer_ratio() for t in framework.theories]
+            for a in actions
+        }
+        self.scale = lcm(*{d for column in ratios.values() for _, d in column})
+        self.rows = {
+            a: [
+                (bit, w, n * (self.scale // d))
+                for bit, w, (n, d) in zip(self.bits, self.weights, column)
+            ]
+            for a, column in ratios.items()
+        }
+        if spec.kind in (SwfKind.KTHM, SwfKind.HM):
+            for a in actions:
+                self._sort(a)
+        self.score = {
+            SwfKind.MEC: self._mec,
+            SwfKind.MAXIMIN: self._maximin,
+            SwfKind.KTHM: self._kthm,
+            SwfKind.HM: self._hm,
+        }[spec.kind]
+
+    def _sort(self, action: ActionId) -> None:
+        """Order ``action``'s rows by value; the stable sort keeps ties declared."""
+        self.rows[action].sort(key=itemgetter(2))
+
+    def mass(self, mask: int) -> int:
+        return sum(w for bit, w in zip(self.bits, self.weights) if mask & bit)
+
+    def _mec(self, mask: int) -> tuple:
+        return tuple(
+            sum(w * v for bit, w, v in rows if mask & bit)
+            for rows in self.rows.values()
+        )
+
+    def _maximin(self, mask: int) -> tuple:
+        return tuple(
+            min(v for bit, _, v in rows if mask & bit) for rows in self.rows.values()
+        )
+
+    def _hm(self, mask: int) -> tuple:
+        mass = self.mass(mask)
+        return tuple(
+            _doubled_median(rows, mask, mass) for rows in self.rows.values()
+        )
+
+    def _kthm(self, mask: int) -> tuple:
+        limit = self.spec.k.numerator * self.mass(mask)
+        renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
+        scores = []
+        for rows in self.rows.values():
+            kept, lo, hi = self.trim(rows, mask, limit)
+            total = sum(w * v for _, w, v in kept[lo:hi])
+            if renormalized:
+                total = Fraction(total, sum(w for _, w, _ in kept[lo:hi]))
+            scores.append(total)
+        return tuple(scores)
+
+    def trim(self, rows: list, mask: int, limit: int) -> tuple[list, int, int]:
+        """The rows of ``mask``, with the bounds of their ``kthm`` trim.
+
+        ``kept[:lo]`` is the maximal low prefix, and ``kept[hi:]`` the
+        maximal high suffix, of weight ``p`` with ``p / M <= k`` for the
+        mask's mass ``M``: ``p * den(k) <= num(k) * M``, which is
+        ``limit``.  ``kept[lo:hi]`` survives.
+        """
+        kept = [row for row in rows if mask & row[0]]
+        k_den = self.spec.k.denominator
+        lo = _trim_count(kept, k_den, limit)
+        hi = len(kept) - _trim_count(reversed(kept), k_den, limit)
+        return kept, lo, hi
+
+    def shed(self, action: ActionId) -> tuple[list, list]:
+        """The rows the ``kthm`` trim drops from ``action``: low side, high side."""
+        limit = self.spec.k.numerator * self.den
+        kept, lo, hi = self.trim(self.rows[action], self.everyone, limit)
+        return kept[:lo], kept[hi:]
+
+    def exact(self) -> list[Fraction]:
+        """The full framework's scores with the scaling divided out, as printed."""
+        if self.spec.kind is SwfKind.MAXIMIN:
+            divisor = self.scale
+        elif self.spec.kind is SwfKind.HM:
+            divisor = 2 * self.scale
+        elif self.spec.trim_mode is TrimMode.RENORMALIZED:
+            divisor = self.scale
+        else:
+            divisor = self.den * self.scale
+        return [Fraction(s, divisor) for s in self.score(self.everyone)]
+
+
+def _trim_count(kept, k_den: int, limit: int) -> int:
+    """How many leading ``(bit, weight, value)`` rows a ``kthm`` trim sheds."""
+    count = prefix = 0
+    for _, w, _ in kept:
+        prefix += w
+        if prefix * k_den > limit:
+            break
+        count += 1
+    return count
+
+
+def _doubled_median(rows: list, mask: int, mass: int) -> int:
+    """Twice the weighted median of the masked part of the sorted ``rows``.
+
+    An entry is valid when the mass strictly before it and strictly
+    after it are both at most half: ``2*before <= mass <= 2*prefix``.
+    The first entry with ``2*prefix >= mass`` is valid; when ``2*prefix
+    == mass`` exactly, the next masked entry is valid too and the two
+    values are averaged.  Doubling keeps the score an integer.
+    """
+    kept = ((w, v) for bit, w, v in rows if mask & bit)
+    prefix = 0
+    for w, v in kept:
+        prefix += w
+        if 2 * prefix > mass:
+            return 2 * v
+        if 2 * prefix == mass:
+            return v + next(kept)[1]
+    raise AssertionError("a nonempty mask has a median")
+
+
+def _view(spec: SwfSpec, framework: EthicalFramework, action: ActionId) -> _Compiled:
+    """The compile of ``framework`` over the single action ``action``."""
+    if not any(action in t.evaluations for t in framework.theories):
+        raise UnknownAction(action)
+    return _Compiled(spec, framework, (action,))
+
+
+def _theories(framework: EthicalFramework, rows: list) -> list[Theory]:
+    """The theories behind compiled ``rows``, in row order."""
+    return [framework.theories[bit.bit_length() - 1] for bit, _, _ in rows]
 
 
 def wam(framework: EthicalFramework, action: ActionId) -> Fraction:
-    """Credence-weighted arithmetic mean of the evaluations of ``action``."""
-    values = _evaluations(framework, action)
-    return sum(
-        (framework.credences[t.id] * v for t, v in zip(framework.theories, values)),
-        Fraction(0),
-    )
+    """Credence-weighted arithmetic mean of the evaluations of ``action``.
+
+    Like every per-action function here, this is the ``aggregate`` score
+    of one action: the framework is validated as :func:`aggregate`
+    validates it, and :class:`UnknownAction` is raised when no theory
+    evaluates ``action``.
+    """
+    return _view(SwfSpec.mec(), framework, action).exact()[0]
 
 
 def min_evaluation(framework: EthicalFramework, action: ActionId) -> Fraction:
     """Worst evaluation of ``action`` across theories; credences play no role."""
-    return min(_evaluations(framework, action))
+    return _view(SwfSpec.maximin(), framework, action).exact()[0]
 
 
 def sorted_evaluations(
@@ -145,54 +307,33 @@ def sorted_evaluations(
     """``(theory id, evaluation)`` pairs for ``action``, ascending by value.
 
     Exactly equal evaluations keep declaration order, which makes every
-    downstream prefix/suffix computation deterministic.
+    downstream prefix/suffix computation deterministic.  This is the
+    order that ``kthm`` and ``hm`` read.
     """
-    values = _evaluations(framework, action)
-    order = sorted(range(len(values)), key=lambda i: (values[i], i))
-    return tuple((framework.theories[i].id, values[i]) for i in order)
-
-
-def _trim(
-    framework: EthicalFramework, action: ActionId, k: Fraction
-) -> tuple[tuple[tuple[TheoryId, Fraction], ...], int, int]:
-    """One sort of ``action``'s evaluations, walked from both ends.
-
-    Returns the sorted pairs with bounds ``lo`` and ``hi`` into them:
-    ``[:lo]`` is the maximal low prefix of credence mass <= k, ``[hi:]``
-    the maximal high suffix, and ``[lo:hi]`` survives.  ``k`` comes from
-    a :class:`SwfSpec`, which has checked it.
-    """
-    pairs = sorted_evaluations(framework, action)
-    credences = framework.credences
-    lo, mass = 0, Fraction(0)
-    for tid, _ in pairs:
-        mass += credences[tid]
-        if mass > k:
-            break
-        lo += 1
-    hi, mass = len(pairs), Fraction(0)
-    for tid, _ in reversed(pairs):
-        mass += credences[tid]
-        if mass > k:
-            break
-        hi -= 1
-    return pairs, lo, hi
+    rows = _view(SwfSpec.hm(), framework, action).rows[action]
+    return tuple((t.id, t.evaluations[action]) for t in _theories(framework, rows))
 
 
 def bottom_k(
     framework: EthicalFramework, action: ActionId, k: RationalLike
 ) -> frozenset[TheoryId]:
-    """Ids forming the maximal low-evaluation prefix of credence mass <= k."""
-    pairs, lo, _ = _trim(framework, action, SwfSpec.kthm(k).k)
-    return frozenset(tid for tid, _ in pairs[:lo])
+    """Ids forming the maximal low-evaluation prefix of credence mass <= k.
+
+    A ``k`` outside ``[0, 1/2)`` raises :class:`InvalidSpec`.
+    """
+    low, _ = _view(SwfSpec.kthm(k), framework, action).shed(action)
+    return frozenset(t.id for t in _theories(framework, low))
 
 
 def top_k(
     framework: EthicalFramework, action: ActionId, k: RationalLike
 ) -> frozenset[TheoryId]:
-    """Ids forming the maximal high-evaluation suffix of credence mass <= k."""
-    pairs, _, hi = _trim(framework, action, SwfSpec.kthm(k).k)
-    return frozenset(tid for tid, _ in pairs[hi:])
+    """Ids forming the maximal high-evaluation suffix of credence mass <= k.
+
+    A ``k`` outside ``[0, 1/2)`` raises :class:`InvalidSpec`.
+    """
+    _, high = _view(SwfSpec.kthm(k), framework, action).shed(action)
+    return frozenset(t.id for t in _theories(framework, high))
 
 
 def trimmed_wam(
@@ -208,23 +349,7 @@ def trimmed_wam(
     surviving mass instead.  Both sides trim at most ``k < 1/2`` of the
     mass, so the surviving mass is always positive.
     """
-    return _trimmed_wam(framework, action, SwfSpec.kthm(k, trim_mode))
-
-
-def _trimmed_wam(
-    framework: EthicalFramework, action: ActionId, spec: SwfSpec
-) -> Fraction:
-    """The ``kthm`` score of ``action`` under ``spec``, checked on creation."""
-    pairs, lo, hi = _trim(framework, action, spec.k)
-    total = Fraction(0)
-    mass = Fraction(0)
-    for tid, value in pairs[lo:hi]:
-        c = framework.credences[tid]
-        total += c * value
-        mass += c
-    if spec.trim_mode is TrimMode.RENORMALIZED:
-        return total / mass
-    return total
+    return _view(SwfSpec.kthm(k, trim_mode), framework, action).exact()[0]
 
 
 def wmedian(framework: EthicalFramework, action: ActionId) -> Fraction:
@@ -239,22 +364,7 @@ def wmedian(framework: EthicalFramework, action: ActionId) -> Fraction:
     :class:`CredenceOutOfRange`, and credences that do not sum to 1 raise
     :class:`CredenceSumNotOne`.
     """
-    prefix = Fraction(0)
-    valid: list[Fraction] = []
-    for tid, value in sorted_evaluations(framework, action):
-        c = framework.credences[tid]
-        # 0 < c <= 1 in integers; Fraction comparisons cost a quarter of the loop.
-        if not 0 < c.numerator <= c.denominator:
-            raise CredenceOutOfRange(tid, c)
-        before = prefix
-        prefix += c
-        if before <= HALF <= prefix:
-            valid.append(value)
-    if prefix != 1:
-        raise CredenceSumNotOne(prefix)
-    if len(valid) == 1:
-        return valid[0]
-    return (valid[0] + valid[1]) / 2
+    return _view(SwfSpec.hm(), framework, action).exact()[0]
 
 
 @dataclass(frozen=True)
@@ -266,16 +376,6 @@ class AggregateResult:
     ranking: Ranking
 
 
-def _score(spec: SwfSpec, framework: EthicalFramework, action: ActionId) -> Fraction:
-    if spec.kind is SwfKind.MEC:
-        return wam(framework, action)
-    if spec.kind is SwfKind.MAXIMIN:
-        return min_evaluation(framework, action)
-    if spec.kind is SwfKind.KTHM:
-        return _trimmed_wam(framework, action, spec)
-    return wmedian(framework, action)
-
-
 def aggregate(
     spec: SwfSpec, framework: EthicalFramework, actions: ActionSet
 ) -> AggregateResult:
@@ -283,110 +383,8 @@ def aggregate(
 
     The framework is validated against ``actions`` first, so missing
     evaluations and credence defects surface here rather than as wrong
-    numbers.
+    numbers.  It is then compiled into integers once, scored over all
+    its theories, and each score divided back by the compile's scale.
     """
-    validate_framework(framework, actions)
-    scores = {a: _score(spec, framework, a) for a in actions}
+    scores = dict(zip(actions, _Compiled(spec, framework, actions).exact()))
     return AggregateResult(spec, scores, ranking_from_scores(scores))
-
-
-def _mask_scorer(
-    spec: SwfSpec, framework: EthicalFramework, actions: ActionSet
-) -> Callable[[int], tuple]:
-    """Compile ``framework`` once; score any subset of its theories by bitmask.
-
-    Bit ``i`` of a mask selects the ``i``-th declared theory.  For a
-    nonempty mask the returned function gives one score per action, in
-    the order of ``actions``, and ranking these scores gives exactly the
-    ranking that :func:`aggregate` gives for the renormalized restriction
-    to that subset.  The scores themselves are not the printed ones:
-    credences become integer weights (scaled by the lcm of their
-    denominators), every evaluation is scaled by one lcm common to all
-    actions, and the subset's mass is never divided out, because each
-    rule's ranking is unchanged when every score is scaled by the same
-    positive factor.  Each action's theory order (by value, then
-    declaration) is sorted once, here.
-
-    The framework is validated once, as :func:`aggregate` would.
-    """
-    validate_framework(framework, actions)
-    credences = [framework.credences[t.id] for t in framework.theories]
-    den = lcm(*(c.denominator for c in credences))
-    weights = [c.numerator * (den // c.denominator) for c in credences]
-    bits = [1 << i for i in range(len(weights))]
-    columns = [[t.evaluations[a] for t in framework.theories] for a in actions]
-    scale = lcm(*(v.denominator for column in columns for v in column))
-    # Per action, (bit, weight, value) ascending; the stable sort keeps
-    # tied values in declaration order, as sorted_evaluations does.
-    orders = []
-    for column in columns:
-        values = [v.numerator * (scale // v.denominator) for v in column]
-        order = sorted(range(len(values)), key=values.__getitem__)
-        orders.append([(bits[i], weights[i], values[i]) for i in order])
-
-    def mass(mask: int) -> int:
-        return sum(w for bit, w in zip(bits, weights) if mask & bit)
-
-    if spec.kind is SwfKind.MEC:
-        return lambda mask: tuple(
-            sum(w * v for bit, w, v in order if mask & bit) for order in orders
-        )
-    if spec.kind is SwfKind.MAXIMIN:
-        return lambda mask: tuple(
-            next(v for bit, _, v in order if mask & bit) for order in orders
-        )
-    if spec.kind is SwfKind.HM:
-        return lambda mask: tuple(
-            _doubled_median(order, mask, mass(mask)) for order in orders
-        )
-    k_num, k_den = spec.k.numerator, spec.k.denominator
-    renormalized = spec.trim_mode is TrimMode.RENORMALIZED
-
-    def trimmed(order: list, mask: int, limit: int):
-        kept = [(w, v) for bit, w, v in order if mask & bit]
-        lo = _trim_count(kept, k_den, limit)
-        hi = len(kept) - _trim_count(reversed(kept), k_den, limit)
-        total = sum(w * v for w, v in kept[lo:hi])
-        if renormalized:
-            return Fraction(total, sum(w for w, _ in kept[lo:hi]))
-        return total
-
-    def kthm(mask: int) -> tuple:
-        limit = k_num * mass(mask)
-        return tuple(trimmed(order, mask, limit) for order in orders)
-
-    return kthm
-
-
-def _trim_count(kept, k_den: int, limit: int) -> int:
-    """How many leading ``(weight, value)`` pairs a ``kthm`` trim sheds.
-
-    A prefix of weight ``p`` in a subset of mass ``M`` is trimmable while
-    ``p / M <= k``, that is ``p * den(k) <= num(k) * M = limit``.
-    """
-    count = prefix = 0
-    for w, _ in kept:
-        prefix += w
-        if prefix * k_den > limit:
-            break
-        count += 1
-    return count
-
-
-def _doubled_median(order: list, mask: int, mass: int) -> int:
-    """Twice the weighted median of the masked part of ``order``.
-
-    As in :func:`wmedian`, an entry is valid when ``2*before <= mass <=
-    2*prefix``.  The first entry with ``2*prefix >= mass`` is valid; when
-    ``2*prefix == mass`` exactly, the next masked entry is valid too and
-    the two values are averaged.  Doubling keeps the score an integer.
-    """
-    kept = ((w, v) for bit, w, v in order if mask & bit)
-    prefix = 0
-    for w, v in kept:
-        prefix += w
-        if 2 * prefix > mass:
-            return 2 * v
-        if 2 * prefix == mass:
-            return v + next(kept)[1]
-    raise AssertionError("a nonempty mask has a median")

@@ -38,6 +38,8 @@ from moralagg.sampling import (
     random_target,
 )
 
+import reference
+
 FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
 HALF = F(1, 2)
 CAPTURE_LEVELS = (F(1, 100), F(1, 10), F(2, 5))
@@ -223,26 +225,6 @@ def test_criterion_08_zero_trim_reduces_to_the_mean():
             assert trimmed.ranking == mec.ranking
 
 
-def definition_scan_wmedian(framework, action):
-    order = sorted(
-        range(len(framework.theories)),
-        key=lambda i: (framework.theories[i].evaluations[action], i),
-    )
-    values = [framework.theories[i].evaluations[action] for i in order]
-    weights = [framework.credences[framework.theories[i].id] for i in order]
-    n = len(values)
-    valid = [
-        m
-        for m in range(1, n + 1)
-        if sum(weights[: m - 1], F(0)) <= HALF
-        and sum(weights[m:], F(0)) <= HALF
-    ]
-    if len(valid) == 2:
-        return (values[valid[0] - 1] + values[valid[1] - 1]) / 2
-    (m,) = valid
-    return values[m - 1]
-
-
 def brute_force_dominant_subsets(spec, framework, actions):
     def renormalized(ids):
         kept = [t for t in framework.theories if t.id in ids]
@@ -251,15 +233,15 @@ def brute_force_dominant_subsets(spec, framework, actions):
             kept, {t.id: framework.credences[t.id] / mass for t in kept}
         )
 
-    full = aggregate(spec, framework, actions).ranking
+    full = reference.ranking(spec, framework, actions)
     all_ids = sorted(framework.theory_ids())
     found = []
     for size in range(1, len(all_ids)):
         for combo in itertools.combinations(all_ids, size):
-            inside = aggregate(spec, renormalized(set(combo)), actions).ranking
-            outside = aggregate(
+            inside = reference.ranking(spec, renormalized(set(combo)), actions)
+            outside = reference.ranking(
                 spec, renormalized(set(all_ids) - set(combo)), actions
-            ).ranking
+            )
             if full == inside and inside != outside:
                 found.append(frozenset(combo))
     return found
@@ -269,7 +251,7 @@ def test_criterion_09_independent_oracles_agree():
     _, frameworks = population(109, 500)
     for framework, actions in frameworks:
         for action in actions:
-            assert wmedian(framework, action) == definition_scan_wmedian(
+            assert wmedian(framework, action) == reference.wmedian(
                 framework, action
             )
 

@@ -2,8 +2,10 @@
 
 ``enumerate_dominant_subsets`` and ``is_dominant_subset`` score subsets
 from one integer compile of the framework.  The reference here is the
-definition run literally: restrict the framework to each side, aggregate
-each restriction with :func:`aggregate`, and compare the rankings.  Every
+definition run literally: restrict the framework to each side, rank each
+restriction by the plain-``Fraction`` rules of ``reference.py`` (not by
+:func:`aggregate`, which reads the same compile), and compare the
+rankings.  Every
 field of every result must agree, under all five spec variants, on
 seeded populations, on hypothesis frameworks, and on frameworks built to
 stress the integer scaling (exact ties, coprime credence denominators,
@@ -26,13 +28,13 @@ from moralagg import (
     SwfSpec,
     Theory,
     TrimMode,
-    aggregate,
     enumerate_dominant_subsets,
     is_dominant_subset,
 )
 from moralagg.core import restrict
 from moralagg.sampling import random_framework
 
+import reference
 import strategies
 
 SPECS = (
@@ -45,11 +47,11 @@ SPECS = (
 
 
 def reference_verdict(spec, framework, actions, subset):
-    """``(is_dominant, full, dominant, yielding)`` by aggregate + restrict."""
+    """``(is_dominant, full, dominant, yielding)`` by restrict + the reference."""
     rest = [t for t in framework.theory_ids() if t not in subset]
-    full = aggregate(spec, framework, actions).ranking
-    dominant = aggregate(spec, restrict(framework, subset), actions).ranking
-    yielding = aggregate(spec, restrict(framework, rest), actions).ranking
+    full = reference.ranking(spec, framework, actions)
+    dominant = reference.ranking(spec, restrict(framework, subset), actions)
+    yielding = reference.ranking(spec, restrict(framework, rest), actions)
     return (full == dominant and dominant != yielding, full, dominant, yielding)
 
 
@@ -205,3 +207,10 @@ def test_invalid_frameworks_raise_as_before(spec, case):
 @pytest.mark.parametrize("spec", SPECS, ids=SwfSpec.label)
 def test_single_theory_framework_has_no_dominant_subset(spec):
     assert enumerate_dominant_subsets(spec, framework_with([F(1)]), ACTIONS) == []
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SwfSpec.label)
+def test_single_theory_framework_is_validated(spec):
+    with pytest.raises(CredenceSumNotOne) as caught:
+        enumerate_dominant_subsets(spec, framework_with([F(1, 2)]), ACTIONS)
+    assert str(caught.value) == "credences sum to 1/2, deficit of 1/2"

@@ -292,14 +292,16 @@ class TestProbes:
         assert probe_kthm_non_fanatical("1/10", [(ft, "1/20")])
 
     def test_trimmed_mean_probe_sorts_each_action_once(self, monkeypatch):
+        # The compile sorts each action's rows; the structural check and
+        # the dominance verdict both read that one compile.
         sorted_actions = []
-        original = functionals.sorted_evaluations
+        original = functionals._Compiled._sort
 
-        def counting(framework, action):
+        def counting(compiled, action):
             sorted_actions.append(action)
-            return original(framework, action)
+            return original(compiled, action)
 
-        monkeypatch.setattr(functionals, "sorted_evaluations", counting)
+        monkeypatch.setattr(functionals._Compiled, "_sort", counting)
         ft = Theory("ft", {"a": -(10**9), "b": 10**9})
         assert probe_kthm_non_fanatical("1/10", [(ft, "1/20")])
         assert sorted_actions == ["a", "b"]
@@ -388,3 +390,20 @@ def test_random_probe_storm():
         adversary = random_adversary(rng, ActionSet(("a", "b")), k)
         assert probe_kthm_non_fanatical(k, adversary)
         assert probe_hm_non_fanatical(k, adversary)
+
+
+def test_audit_aggregates_each_base_framework_once(monkeypatch):
+    # The mec and kthm suites draw their target from the base result and
+    # hand that same result to the ladder witness.
+    from moralagg import audit, fanaticism
+
+    calls = []
+    for module in (audit, fanaticism):
+
+        def counting(*args, original=module.aggregate):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(module, "aggregate", counting)
+    assert audit.run_audit(seed=3, trials=10).ok
+    assert len(calls) == 80

@@ -10,6 +10,7 @@ from moralagg import (
     CredenceSumNotOne,
     EthicalFramework,
     InvalidSpec,
+    MissingEvaluation,
     Ranking,
     SwfKind,
     SwfSpec,
@@ -27,7 +28,9 @@ from moralagg import (
     wam,
     wmedian,
 )
+from moralagg import functionals
 
+import reference
 import strategies
 
 HALF = F(1, 2)
@@ -40,47 +43,6 @@ def frobo():
         EthicalFramework([u, d], {"u": "99/100", "d": "1/100"}),
         ActionSet(("l", "r")),
     )
-
-
-def definition_scan_wmedian(framework, action):
-    # Independent oracle: the two-inequality definition, slice sums and all.
-    order = sorted(
-        range(len(framework.theories)),
-        key=lambda i: (framework.theories[i].evaluations[action], i),
-    )
-    values = [framework.theories[i].evaluations[action] for i in order]
-    weights = [framework.credences[framework.theories[i].id] for i in order]
-    n = len(values)
-    valid = [
-        m
-        for m in range(1, n + 1)
-        if sum(weights[: m - 1], F(0)) <= HALF
-        and sum(weights[m:], F(0)) <= HALF
-    ]
-    assert len(valid) in (1, 2)
-    if len(valid) == 2:
-        assert valid[1] == valid[0] + 1
-        return (values[valid[0] - 1] + values[valid[1] - 1]) / 2
-    return values[valid[0] - 1]
-
-
-def definition_scan_trimmed_wam(framework, action, k, trim_mode):
-    # Independent oracle: drop the longest prefix and the longest suffix of
-    # the sorted evaluations whose slice sums of credence stay <= k.
-    order = sorted(
-        range(len(framework.theories)),
-        key=lambda i: (framework.theories[i].evaluations[action], i),
-    )
-    values = [framework.theories[i].evaluations[action] for i in order]
-    weights = [framework.credences[framework.theories[i].id] for i in order]
-    n = len(values)
-    lo = max(m for m in range(n + 1) if sum(weights[:m], F(0)) <= k)
-    hi = min(m for m in range(n + 1) if sum(weights[m:], F(0)) <= k)
-    assert lo <= hi
-    total = sum((w * v for w, v in zip(weights[lo:hi], values[lo:hi])), F(0))
-    if trim_mode is TrimMode.RENORMALIZED:
-        return total / sum(weights[lo:hi], F(0))
-    return total
 
 
 class TestSwfSpec:
@@ -257,6 +219,46 @@ class TestWmedian:
         assert (info.value.theory_id, info.value.value) == ("t2", F(-1, 4))
 
 
+PER_ACTION = {
+    "wam": wam,
+    "min_evaluation": min_evaluation,
+    "sorted_evaluations": sorted_evaluations,
+    "wmedian": wmedian,
+    "bottom_k": lambda framework, action: bottom_k(framework, action, "1/10"),
+    "top_k": lambda framework, action: top_k(framework, action, "1/10"),
+    "trimmed_wam": lambda framework, action: trimmed_wam(framework, action, "1/10"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_ACTION))
+def test_per_action_functions_validate_as_aggregate(name):
+    view = PER_ACTION[name]
+    framework, _ = frobo()
+    with pytest.raises(UnknownAction):
+        view(framework, "zzz")
+    half = EthicalFramework(
+        [Theory("t1", {"a": 0}), Theory("t2", {"a": 1})],
+        {"t1": "1/4", "t2": "1/4"},
+    )
+    with pytest.raises(CredenceSumNotOne) as info:
+        view(half, "a")
+    assert str(info.value) == "credences sum to 1/2, deficit of 1/2"
+    partial = EthicalFramework(
+        [Theory("t1", {"a": 0}), Theory("t2", {"b": 1})],
+        {"t1": "1/2", "t2": "1/2"},
+    )
+    with pytest.raises(MissingEvaluation):
+        view(partial, "a")
+
+
+@pytest.mark.parametrize("view", [bottom_k, top_k, trimmed_wam])
+def test_per_action_trim_level_is_checked(view):
+    framework, _ = frobo()
+    for bad in ("1/2", "-1/10"):
+        with pytest.raises(InvalidSpec):
+            view(framework, "l", bad)
+
+
 class TestAggregate:
     def test_frobo_rankings(self):
         framework, actions = frobo()
@@ -269,6 +271,21 @@ class TestAggregate:
         ]
         for spec, expected in cases:
             assert aggregate(spec, framework, actions).ranking == expected
+
+    def test_only_kthm_and_hm_sort(self, monkeypatch):
+        sorted_actions = []
+
+        def counting(compiled, action):
+            sorted_actions.append(action)
+
+        monkeypatch.setattr(functionals._Compiled, "_sort", counting)
+        framework, actions = frobo()
+        aggregate(SwfSpec.mec(), framework, actions)
+        aggregate(SwfSpec.maximin(), framework, actions)
+        assert sorted_actions == []
+        aggregate(SwfSpec.hm(), framework, actions)
+        aggregate(SwfSpec.kthm("1/10"), framework, actions)
+        assert sorted_actions == ["l", "r", "l", "r"]
 
     def test_invalid_framework_is_reported(self):
         framework = EthicalFramework(
@@ -324,9 +341,7 @@ def test_trim_sets_are_disjoint_and_bounded(fw_actions, data):
 def test_wmedian_agrees_with_definition_scan(fw_actions, data):
     framework, actions = fw_actions
     for action in actions:
-        assert wmedian(framework, action) == definition_scan_wmedian(
-            framework, action
-        )
+        assert wmedian(framework, action) == reference.wmedian(framework, action)
 
 
 @given(strategies.frameworks(), strategies.trim_levels)
@@ -335,7 +350,7 @@ def test_trimmed_wam_agrees_with_definition_scan(fw_actions, k):
     for mode in TrimMode:
         scores = aggregate(SwfSpec.kthm(k, mode), framework, actions).scores
         for action in actions:
-            assert scores[action] == definition_scan_trimmed_wam(
+            assert scores[action] == reference.trimmed_wam(
                 framework, action, k, mode
             )
 

@@ -1,0 +1,78 @@
+"""Checks on the shape of the source tree, read with ``ast`` only.
+
+- Every function the benchmark's tracer patches still exists: the tracer
+  looks each one up with ``getattr`` when a traced run starts, so a
+  removed name would crash every ``--trace 1`` run.
+- Every top-level function and class in ``src/moralagg`` is used
+  somewhere other than its own definition, or is exported in
+  ``__all__``: a helper that nothing calls is dead code.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "moralagg"
+READERS = ("src", "demos", "tests", "perfbench")
+
+
+def traced_functions():
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return [(module, fn) for module, fn, _ in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/tracer.py defines no TRACED")
+
+
+def test_every_traced_function_exists():
+    traced = traced_functions()
+    assert traced
+    for module, function in traced:
+        found = getattr(importlib.import_module(f"moralagg.{module}"), function)
+        assert callable(found), (module, function)
+
+
+def used_names(tree):
+    """Names read, attributes taken and names imported anywhere in ``tree``.
+
+    Inside a top-level definition its own name is ignored, so that a
+    definition does not count as its own use.
+    """
+    used = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            if name != own:
+                used.add(name)
+    return used
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    import moralagg
+
+    defined = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, path.name)
+    used = set()
+    for folder in READERS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= used_names(ast.parse(path.read_text()))
+    unused = sorted(
+        f"{module}:{name}"
+        for name, module in defined.items()
+        if name not in used and name not in moralagg.__all__
+    )
+    assert unused == []
