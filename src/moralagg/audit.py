@@ -80,40 +80,27 @@ def run_audit(seed: int = 0, trials: int = 200) -> AuditReport:
     rendered.  ``trials=0`` yields vacuous passes.
     """
     rng = random.Random(seed)
-    suites: list[SuiteResult] = []
 
-    for k in CAPTURE_LEVELS:
-        def run_mec(framework, actions, k=k):
-            base = aggregate(SwfSpec.mec(), framework, actions)
+    def ladder(spec, credence):
+        def run(framework, actions):
+            base = aggregate(spec, framework, actions)
             target = random_target(rng, base.ranking, actions)
-            return _ladder_witness(base, framework, actions, k, target)
-        suites.append(
-            _capture_suite(rng, trials, "mec capture", f"k={k}", run_mec)
-        )
+            return _ladder_witness(base, framework, actions, credence, target)
+        return run
 
-    for k in CAPTURE_LEVELS:
-        def run_mm(framework, actions, k=k):
-            return witness_maximin(framework, actions, k)
-        suites.append(
-            _capture_suite(rng, trials, "maximin capture", f"k={k}", run_mm)
-        )
+    def maximin(k):
+        return lambda framework, actions: witness_maximin(framework, actions, k)
 
-    for k_prime in KTHM_INJECTION_LEVELS:
-        def run_kthm(framework, actions, k_prime=k_prime):
-            base = aggregate(
-                SwfSpec.kthm(KTHM_TRIM_LEVEL, TrimMode.LITERAL), framework, actions
-            )
-            target = random_target(rng, base.ranking, actions)
-            return _ladder_witness(base, framework, actions, k_prime, target)
-        suites.append(
-            _capture_suite(
-                rng,
-                trials,
-                "kthm capture",
-                f"k={KTHM_TRIM_LEVEL} k'={k_prime}",
-                run_kthm,
-            )
-        )
+    kthm = SwfSpec.kthm(KTHM_TRIM_LEVEL, TrimMode.LITERAL)
+    capture = [
+        *(("mec capture", f"k={k}", ladder(SwfSpec.mec(), k)) for k in CAPTURE_LEVELS),
+        *(("maximin capture", f"k={k}", maximin(k)) for k in CAPTURE_LEVELS),
+        *(
+            ("kthm capture", f"k={KTHM_TRIM_LEVEL} k'={k_prime}", ladder(kthm, k_prime))
+            for k_prime in KTHM_INJECTION_LEVELS
+        ),
+    ]
+    suites = [_capture_suite(rng, trials, *suite) for suite in capture]
 
     for name, probe in (
         ("kthm resistance", probe_kthm_non_fanatical),

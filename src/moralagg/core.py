@@ -9,6 +9,7 @@ exact, never approximate.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -297,11 +298,14 @@ def validate_framework(framework: EthicalFramework, actions: ActionSet) -> None:
     """
     for theory in framework.theories:
         c = framework.credences[theory.id]
-        if not (0 < c <= 1):
+        if not (0 < c.numerator <= c.denominator):
             raise CredenceOutOfRange(theory.id, c)
-    total = sum(framework.credences.values(), Fraction(0))
-    if total != 1:
-        raise CredenceSumNotOne(total)
+    # The sum in integers over the lcm of the denominators.
+    credences = framework.credences.values()
+    den = math.lcm(*(c.denominator for c in credences))
+    total = sum(c.numerator * (den // c.denominator) for c in credences)
+    if total != den:
+        raise CredenceSumNotOne(Fraction(total, den))
     for theory in framework.theories:
         for action in actions:
             if action not in theory.evaluations:

@@ -1,6 +1,6 @@
 """Reading and writing ``.scenario`` files.
 
-A scenario is a line-oriented, whitespace-tokenized document; ``#``
+A scenario is a line-oriented document of whitespace-separated words; ``#``
 starts a comment anywhere on a line and blank lines are ignored::
 
     scenario v1
@@ -40,7 +40,6 @@ document, and serializing is idempotent byte for byte.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -94,213 +93,145 @@ class ScenarioDocument:
     default_swf: Optional[SwfSpec] = None
 
 
-_TOKEN_RE = re.compile(r"\S+")
+class _WordError(Exception):
+    """A ``kind`` error at word ``index`` of the line being parsed.
+
+    Only :func:`parse_scenario` knows the line, and it turns the index
+    into the reported column; a line that parses pays nothing for it.
+    """
+
+    def __init__(self, message: str, index: int = 0,
+                 kind: type[ScenarioError] = ScenarioSyntaxError):
+        super().__init__(message)
+        self.message = message
+        self.index = index
+        self.kind = kind
 
 
-@dataclass
-class _Token:
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[list[_Token]]:
-    lines = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = [
-            _Token(m.group(), lineno, m.start() + 1)
-            for m in _TOKEN_RE.finditer(body)
-        ]
-        if tokens:
-            lines.append(tokens)
-    return lines
-
-
-def _rational_token(tok: _Token) -> Fraction:
+def _rational(words: list[str], index: int) -> Fraction:
     try:
-        return to_rational(tok.text)
+        return to_rational(words[index])
     except (ValueError, TypeError):
-        raise NumberFormatError(
-            f"bad rational literal {tok.text!r}", tok.line, tok.column
+        raise _WordError(
+            f"bad rational literal {words[index]!r}", index, NumberFormatError
         ) from None
 
 
-def _arity(tokens: list[_Token], n: int, usage: str) -> None:
-    if len(tokens) != n:
-        bad = tokens[min(n, len(tokens) - 1)]
-        raise ScenarioSyntaxError(
-            f"expected '{usage}'", bad.line, bad.column
-        )
+def _arity(words: list[str], n: int, usage: str) -> None:
+    if len(words) != n:
+        raise _WordError(f"expected '{usage}'", min(n, len(words) - 1))
 
 
 class _Parser:
     def __init__(self) -> None:
         self.actions: Optional[list[str]] = None
-        self.order: list[str] = []
         self.credences: dict[str, Fraction] = {}
         self.evaluations: dict[str, dict[str, Fraction]] = {}
         self.current: Optional[str] = None
         self.swf: Optional[SwfSpec] = None
         self.any_directive = False
 
-    def feed(self, tokens: list[_Token]) -> None:
-        head = tokens[0]
-        handler = getattr(self, f"_on_{head.text}", None)
+    def feed(self, words: list[str]) -> None:
+        handler = getattr(self, f"_on_{words[0]}", None)
         if handler is None:
-            raise ScenarioSyntaxError(
-                f"unknown directive {head.text!r}", head.line, head.column
-            )
-        handler(tokens)
+            raise _WordError(f"unknown directive {words[0]!r}")
+        handler(words)
         self.any_directive = True
 
-    def _on_scenario(self, tokens: list[_Token]) -> None:
-        head = tokens[0]
+    def _on_scenario(self, words: list[str]) -> None:
         if self.any_directive:
-            raise ScenarioSyntaxError(
-                "version header must come first", head.line, head.column
-            )
-        _arity(tokens, 2, "scenario v1")
-        version = tokens[1]
-        if version.text != SCHEMA_VERSION:
-            raise ScenarioSyntaxError(
-                f"unsupported schema version {version.text!r}",
-                version.line,
-                version.column,
-            )
+            raise _WordError("version header must come first")
+        _arity(words, 2, "scenario v1")
+        if words[1] != SCHEMA_VERSION:
+            raise _WordError(f"unsupported schema version {words[1]!r}", 1)
 
-    def _on_actions(self, tokens: list[_Token]) -> None:
-        head = tokens[0]
+    def _on_actions(self, words: list[str]) -> None:
+        # A theory needs the actions first, so a later declaration is
+        # always a duplicate.
         if self.actions is not None:
-            raise ScenarioSyntaxError(
-                "duplicate actions declaration", head.line, head.column
-            )
-        if self.order:
-            raise ScenarioSyntaxError(
-                "actions must be declared before theories", head.line, head.column
-            )
-        if len(tokens) < 2:
-            raise ScenarioSyntaxError(
-                "actions declaration needs at least one action",
-                head.line,
-                head.column,
-            )
+            raise _WordError("duplicate actions declaration")
+        if len(words) < 2:
+            raise _WordError("actions declaration needs at least one action")
         seen = set()
-        for tok in tokens[1:]:
-            if tok.text in seen:
-                raise ValidationError(
-                    f"duplicate action {tok.text!r}", tok.line, tok.column
+        for index, action in enumerate(words[1:], start=1):
+            if action in seen:
+                raise _WordError(
+                    f"duplicate action {action!r}", index, ValidationError
                 )
-            seen.add(tok.text)
-        self.actions = [tok.text for tok in tokens[1:]]
+            seen.add(action)
+        self.actions = words[1:]
 
-    def _on_theory(self, tokens: list[_Token]) -> None:
-        head = tokens[0]
+    def _on_theory(self, words: list[str]) -> None:
         if self.actions is None:
-            raise ScenarioSyntaxError(
-                "actions must be declared before theories", head.line, head.column
-            )
-        _arity(tokens, 4, "theory <id> credence <rational>")
-        name, kw, value = tokens[1], tokens[2], tokens[3]
-        if kw.text != "credence":
-            raise ScenarioSyntaxError(
-                "expected 'theory <id> credence <rational>'", kw.line, kw.column
-            )
-        if name.text in self.credences:
-            raise ValidationError(
-                f"duplicate theory {name.text!r}", name.line, name.column
-            )
-        self.order.append(name.text)
-        self.credences[name.text] = _rational_token(value)
-        self.evaluations[name.text] = {}
-        self.current = name.text
+            raise _WordError("actions must be declared before theories")
+        _arity(words, 4, "theory <id> credence <rational>")
+        name = words[1]
+        if words[2] != "credence":
+            raise _WordError("expected 'theory <id> credence <rational>'", 2)
+        if name in self.credences:
+            raise _WordError(f"duplicate theory {name!r}", 1, ValidationError)
+        self.credences[name] = _rational(words, 3)
+        self.evaluations[name] = {}
+        self.current = name
 
-    def _on_eval(self, tokens: list[_Token]) -> None:
-        head = tokens[0]
+    def _on_eval(self, words: list[str]) -> None:
         if self.current is None:
-            raise ScenarioSyntaxError(
-                "eval before any theory declaration", head.line, head.column
-            )
-        _arity(tokens, 3, "eval <action> <rational>")
-        action, value = tokens[1], tokens[2]
-        assert self.actions is not None
-        if action.text not in self.actions:
-            raise ValidationError(
-                f"evaluation of undeclared action {action.text!r}",
-                action.line,
-                action.column,
+            raise _WordError("eval before any theory declaration")
+        _arity(words, 3, "eval <action> <rational>")
+        action = words[1]
+        if action not in self.actions:
+            raise _WordError(
+                f"evaluation of undeclared action {action!r}", 1, ValidationError
             )
         block = self.evaluations[self.current]
-        if action.text in block:
-            raise ValidationError(
-                f"duplicate evaluation of {action.text!r} by {self.current!r}",
-                action.line,
-                action.column,
+        if action in block:
+            raise _WordError(
+                f"duplicate evaluation of {action!r} by {self.current!r}",
+                1,
+                ValidationError,
             )
-        block[action.text] = _rational_token(value)
+        block[action] = _rational(words, 2)
 
-    def _on_swf(self, tokens: list[_Token]) -> None:
-        head = tokens[0]
+    def _on_swf(self, words: list[str]) -> None:
         if self.swf is not None:
-            raise ScenarioSyntaxError(
-                "duplicate swf declaration", head.line, head.column
+            raise _WordError("duplicate swf declaration")
+        if len(words) < 2:
+            raise _WordError("swf declaration needs a functional name")
+        kind = words[1]
+        if kind in ("mec", "maximin", "hm"):
+            _arity(words, 2, f"swf {kind}")
+            self.swf = SwfSpec(SwfKind(kind))
+            return
+        if kind != "kthm":
+            raise _WordError(f"unknown functional {kind!r}", 1)
+        if len(words) not in (4, 6):
+            raise _WordError(
+                "expected 'swf kthm k <rational> [trim literal|renormalized]'"
             )
-        if len(tokens) < 2:
-            raise ScenarioSyntaxError(
-                "swf declaration needs a functional name", head.line, head.column
-            )
-        kind = tokens[1]
+        if words[2] != "k":
+            raise _WordError("expected 'k' after 'swf kthm'", 2)
+        k = _rational(words, 3)
+        mode = TrimMode.LITERAL
+        if len(words) == 6:
+            if words[4] != "trim":
+                raise _WordError("expected 'trim' before the trim mode", 4)
+            try:
+                mode = TrimMode(words[5])
+            except ValueError:
+                raise _WordError(f"unknown trim mode {words[5]!r}", 5) from None
         try:
-            if kind.text in ("mec", "maximin", "hm"):
-                _arity(tokens, 2, f"swf {kind.text}")
-                self.swf = SwfSpec(SwfKind(kind.text))
-                return
-            if kind.text == "kthm":
-                if len(tokens) not in (4, 6):
-                    raise ScenarioSyntaxError(
-                        "expected 'swf kthm k <rational> [trim literal|renormalized]'",
-                        head.line,
-                        head.column,
-                    )
-                if tokens[2].text != "k":
-                    raise ScenarioSyntaxError(
-                        "expected 'k' after 'swf kthm'",
-                        tokens[2].line,
-                        tokens[2].column,
-                    )
-                k = _rational_token(tokens[3])
-                mode = TrimMode.LITERAL
-                if len(tokens) == 6:
-                    if tokens[4].text != "trim":
-                        raise ScenarioSyntaxError(
-                            "expected 'trim' before the trim mode",
-                            tokens[4].line,
-                            tokens[4].column,
-                        )
-                    try:
-                        mode = TrimMode(tokens[5].text)
-                    except ValueError:
-                        raise ScenarioSyntaxError(
-                            f"unknown trim mode {tokens[5].text!r}",
-                            tokens[5].line,
-                            tokens[5].column,
-                        ) from None
-                self.swf = SwfSpec.kthm(k, mode)
-                return
+            self.swf = SwfSpec.kthm(k, mode)
         except InvalidSpec as exc:
-            raise ValidationError(str(exc), head.line, head.column) from exc
-        raise ScenarioSyntaxError(
-            f"unknown functional {kind.text!r}", kind.line, kind.column
-        )
+            raise _WordError(str(exc), 0, ValidationError) from exc
 
     def finish(self) -> ScenarioDocument:
         if self.actions is None:
             raise ScenarioSyntaxError("missing actions declaration", 1, 1)
-        if not self.order:
+        if not self.credences:
             raise ValidationError("scenario declares no theories")
         actions = ActionSet(self.actions)
         framework = EthicalFramework(
-            [Theory(tid, self.evaluations[tid]) for tid in self.order],
+            [Theory(tid, block) for tid, block in self.evaluations.items()],
             self.credences,
         )
         try:
@@ -315,7 +246,7 @@ def parse_scenario(data: Union[str, bytes]) -> ScenarioDocument:
 
     Raises :class:`ScenarioSyntaxError`, :class:`NumberFormatError` or
     :class:`ValidationError`; syntax and number errors carry the exact
-    1-indexed line and column of the offending token.
+    1-indexed line and column of the offending word.
     """
     if isinstance(data, bytes):
         try:
@@ -323,8 +254,21 @@ def parse_scenario(data: Union[str, bytes]) -> ScenarioDocument:
         except UnicodeDecodeError as exc:
             raise ScenarioSyntaxError(f"not valid UTF-8: {exc}") from exc
     parser = _Parser()
-    for tokens in _tokenize(data):
-        parser.feed(tokens)
+    for lineno, line in enumerate(data.split("\n"), start=1):
+        body = line.split("#", 1)[0]
+        words = body.split()
+        if not words:
+            continue
+        try:
+            parser.feed(words)
+        except _WordError as err:
+            # The one place a position is worked out: find where word
+            # ``err.index`` starts, scanning the words before it in turn.
+            start = end = 0
+            for word in words[: err.index + 1]:
+                start = body.index(word, end)
+                end = start + len(word)
+            raise err.kind(err.message, lineno, start + 1) from err.__cause__
     return parser.finish()
 
 

@@ -127,6 +127,45 @@ class TestValidateFramework:
             validate_framework(framework, ActionSet(("a",)))
         assert err.value.deficit == F(-1, 6)
 
+    # Pairwise coprime denominators, and the remainder to 1, whose
+    # denominator is their product 3 * 5 * 7 * 11 * 13 * 17 * 19.
+    COPRIME = [F(1, d) for d in (3, 5, 7, 11, 13, 17, 19)]
+    COPRIME.append(1 - sum(COPRIME))
+
+    @staticmethod
+    def coprime_framework(credences):
+        names = [f"t{i}" for i in range(len(credences))]
+        return EthicalFramework(
+            [Theory(name, {"a": 0}) for name in names], dict(zip(names, credences))
+        )
+
+    def test_coprime_denominators_summing_to_one_pass(self):
+        assert self.COPRIME[-1].denominator == 4849845
+        validate_framework(self.coprime_framework(self.COPRIME), ActionSet(("a",)))
+
+    @pytest.mark.parametrize("index, step", [(-1, -1), (-1, 1), (2, 1)])
+    def test_one_numerator_off_by_one_reports_exact_total(self, index, step):
+        credences = list(self.COPRIME)
+        off = credences[index]
+        credences[index] = F(off.numerator + step, off.denominator)
+        with pytest.raises(CredenceSumNotOne) as err:
+            validate_framework(self.coprime_framework(credences), ActionSet(("a",)))
+        assert err.value.total == 1 + F(step, off.denominator)
+        assert err.value.deficit == F(-step, off.denominator)
+        side = "deficit" if step < 0 else "surplus"
+        assert str(err.value) == (
+            f"credences sum to {err.value.total}, {side} of {F(1, off.denominator)}"
+        )
+
+    def test_negative_credence_out_of_range(self):
+        framework = EthicalFramework(
+            [Theory("t1", {"a": 0}), Theory("t2", {"a": 0})],
+            {"t1": "-1/2", "t2": "3/2"},
+        )
+        with pytest.raises(CredenceOutOfRange) as err:
+            validate_framework(framework, ActionSet(("a",)))
+        assert err.value.theory_id == "t1"
+
     def test_zero_credence_out_of_range(self):
         framework = EthicalFramework(
             [Theory("t1", {"a": 0}), Theory("t2", {"a": 0})],
