@@ -72,68 +72,10 @@ from .audit import AuditReport, SuiteResult, run_audit
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionSet",
-    "ActionSetMismatch",
-    "AggregateResult",
-    "AuditReport",
-    "BadCredence",
-    "BadCredencePair",
-    "ConstructionFailed",
-    "CredenceMassExceeded",
-    "CredenceOutOfRange",
-    "CredenceSumNotOne",
-    "CredenceTooHigh",
-    "DominanceVerdict",
-    "DominantSubset",
-    "DuplicateActionId",
-    "DuplicateTheoryId",
-    "EmptyRestriction",
-    "EthicalFramework",
-    "InvalidSpec",
-    "MissingEvaluation",
-    "MoralAggError",
-    "NotProperSubset",
-    "NumberFormatError",
-    "Ranking",
-    "ScenarioDocument",
-    "ScenarioError",
-    "ScenarioSyntaxError",
-    "SuiteResult",
-    "SwfKind",
-    "SwfSpec",
-    "TargetIsUniqueMaximizer",
-    "Theory",
-    "TooManyTheories",
-    "TrimMode",
-    "UnknownAction",
-    "UnknownTheoryId",
-    "ValidationError",
-    "WitnessReport",
-    "aggregate",
-    "bottom_k",
-    "canonical_family",
-    "enumerate_dominant_subsets",
-    "extend",
-    "is_dominant_subset",
-    "min_evaluation",
-    "parse_scenario",
-    "probe_hm_non_fanatical",
-    "probe_kthm_non_fanatical",
-    "ranking_from_scores",
-    "rankings_equal",
-    "restrict",
-    "run_audit",
-    "serialize_scenario",
-    "sorted_evaluations",
-    "theory_ranking",
-    "to_rational",
-    "top_k",
-    "trimmed_wam",
-    "validate_framework",
-    "wam",
-    "witness_kthm",
-    "witness_maximin",
-    "witness_mec",
-    "wmedian",
-]
+# Every public name imported above, and nothing else.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_")
+    and getattr(value, "__module__", "").startswith("moralagg.")
+)

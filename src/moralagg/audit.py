@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fanaticism import (
+    CANONICAL_ACTIONS,
     ConstructionFailed,
     _ladder_witness,
     probe_hm_non_fanatical,
@@ -107,7 +108,7 @@ def run_audit(seed: int = 0, trials: int = 200) -> AuditReport:
         ("hm resistance", probe_hm_non_fanatical),
     ):
         for k in CAPTURE_LEVELS:
-            draws = (random_adversary(rng, ("a", "b"), k) for _ in range(trials))
+            draws = (random_adversary(rng, CANONICAL_ACTIONS, k) for _ in range(trials))
             passed = sum(probe(k, adversary) for adversary in draws)
             suites.append(SuiteResult(name, f"k={k}", passed, trials))
 

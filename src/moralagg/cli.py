@@ -40,6 +40,7 @@ from .functionals import SwfKind, SwfSpec, TrimMode, aggregate
 from .scenario import ScenarioDocument, parse_scenario, serialize_scenario
 
 JSON_SCHEMA = "moralagg.report/1"
+_TRIM_MODES = [mode.value for mode in TrimMode]
 
 
 class _UsageError(Exception):
@@ -193,38 +194,28 @@ def _compare_specs(args) -> list[SwfSpec]:
 
 def _cmd_compare(args) -> int:
     document = _load(args.scenario)
-    specs = _compare_specs(args)
-    results = [
-        aggregate(spec, document.framework, document.actions) for spec in specs
-    ]
+    results = {
+        spec.label(): aggregate(spec, document.framework, document.actions)
+        for spec in _compare_specs(args)
+    }
+    best = {label: r.ranking.maximal_group() for label, r in results.items()}
     if args.json:
         _emit_json(
             {
                 "command": "compare",
-                "columns": [spec.label() for spec in specs],
-                "swfs": [_swf_json(spec) for spec in specs],
-                "scores": {
-                    spec.label(): result.scores
-                    for spec, result in zip(specs, results)
-                },
-                "rankings": {
-                    spec.label(): result.ranking
-                    for spec, result in zip(specs, results)
-                },
-                "best_actions": {
-                    spec.label(): result.ranking.maximal_group()
-                    for spec, result in zip(specs, results)
-                },
+                "columns": list(results),
+                "swfs": [_swf_json(r.spec) for r in results.values()],
+                "scores": {label: r.scores for label, r in results.items()},
+                "rankings": {label: r.ranking for label, r in results.items()},
+                "best_actions": best,
             }
         )
         return 0
-    labels = [spec.label() for spec in specs]
-    rows = []
-    for action in document.actions:
-        rows.append(
-            [action] + [_fmt(result.scores[action]) for result in results]
-        )
-    header = ["action"] + labels
+    header = ["action", *results]
+    rows = [
+        [action] + [_fmt(r.scores[action]) for r in results.values()]
+        for action in document.actions
+    ]
     widths = [
         max(len(header[i]), *(len(row[i]) for row in rows))
         for i in range(len(header))
@@ -233,18 +224,16 @@ def _cmd_compare(args) -> int:
     for row in rows:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     print("rankings (worst to best):")
-    for label, result in zip(labels, results):
+    for label, result in results.items():
         print(f"  {label}: {result.ranking}")
-    best = {label: result.ranking.maximal_group()
-            for label, result in zip(labels, results)}
     distinct = {frozenset(v) for v in best.values()}
     if len(distinct) == 1:
         only = sorted(next(iter(distinct)))
         print("all functionals agree on the best actions: " + " ".join(only))
     else:
         print("functionals disagree on the best actions:")
-        for label in labels:
-            print(f"  {label}: " + " ".join(sorted(best[label])))
+        for label, group in best.items():
+            print(f"  {label}: " + " ".join(sorted(group)))
     return 0
 
 
@@ -402,7 +391,7 @@ def _cmd_audit(args) -> int:
 def _add_swf_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--swf",
-        choices=["mec", "maximin", "kthm", "hm"],
+        choices=[kind.value for kind in SwfKind],
         help="functional to run (defaults to the scenario's swf line)",
     )
     parser.add_argument(
@@ -412,7 +401,7 @@ def _add_swf_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trim-mode",
-        choices=["literal", "renormalized"],
+        choices=_TRIM_MODES,
         help="kthm only: keep trimmed mass zeroed (literal, default) "
         "or divide by the surviving mass",
     )
@@ -449,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--trim-mode",
-        choices=["literal", "renormalized"],
+        choices=_TRIM_MODES,
         help="trim mode for the kthm columns (default literal)",
     )
     p.add_argument("--json", action="store_true")
@@ -475,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("scenario")
     p.add_argument(
-        "--swf", choices=["mec", "maximin", "kthm"], required=True,
+        "--swf",
+        choices=[kind.value for kind in SwfKind if kind is not SwfKind.HM],
+        required=True,
         help="functional to capture",
     )
     p.add_argument(

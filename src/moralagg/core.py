@@ -242,7 +242,8 @@ class EthicalFramework:
             raise UnknownTheoryId(theory_id) from None
 
     def total_credence(self, theory_ids: Iterable[TheoryId]) -> Fraction:
-        return sum((self.credence(t) for t in theory_ids), Fraction(0))
+        """The summed credence of ``theory_ids``, each id counted once."""
+        return sum((self.credence(t) for t in dict.fromkeys(theory_ids)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -283,8 +284,14 @@ class Ranking:
 ScoreTable = Mapping[ActionId, Fraction]
 
 
-def validate_framework(framework: EthicalFramework, actions: ActionSet) -> None:
+def validate_framework(
+    framework: EthicalFramework, actions: ActionSet
+) -> tuple[int, list[int]]:
     """Check every framework invariant against ``actions``.
+
+    Returns ``(den, weights)``: ``den`` is the lcm of the credence
+    denominators, and ``weights[i]`` is ``den`` times the credence of the
+    ``i``-th declared theory (the constructor keeps that order).
 
     Raises
     ------
@@ -303,13 +310,14 @@ def validate_framework(framework: EthicalFramework, actions: ActionSet) -> None:
     # The sum in integers over the lcm of the denominators.
     credences = framework.credences.values()
     den = math.lcm(*(c.denominator for c in credences))
-    total = sum(c.numerator * (den // c.denominator) for c in credences)
-    if total != den:
-        raise CredenceSumNotOne(Fraction(total, den))
+    weights = [c.numerator * (den // c.denominator) for c in credences]
+    if sum(weights) != den:
+        raise CredenceSumNotOne(Fraction(sum(weights), den))
     for theory in framework.theories:
         for action in actions:
             if action not in theory.evaluations:
                 raise MissingEvaluation(theory.id, action)
+    return den, weights
 
 
 def restrict(
@@ -391,10 +399,27 @@ def ranking_from_scores(scores: ScoreTable) -> Ranking:
     """
     if not scores:
         raise ValueError("cannot rank an empty score table")
-    by_score: dict[Fraction, set[ActionId]] = {}
-    for action, score in scores.items():
-        by_score.setdefault(to_rational(score), set()).add(action)
-    return Ranking(by_score[s] for s in sorted(by_score))
+    return _ranking(scores, _dense_ranks([to_rational(s) for s in scores.values()]))
+
+
+def _dense_ranks(scores: Sequence) -> tuple[int, ...]:
+    """Each score's place among the distinct scores: equal iff same ranking.
+
+    The one rule that groups scores; sorting avoids hashing ``Fraction``s.
+    """
+    order = sorted(range(len(scores)), key=scores.__getitem__)
+    ranks = [0] * len(scores)
+    for prev, cur in zip(order, order[1:]):
+        ranks[cur] = ranks[prev] + (scores[cur] != scores[prev])
+    return tuple(ranks)
+
+
+def _ranking(actions: Iterable[ActionId], ranks: Sequence[int]) -> Ranking:
+    """The ranking whose groups are the actions of equal dense rank, worst first."""
+    groups: list[list[ActionId]] = [[] for _ in range(max(ranks) + 1)]
+    for action, rank in zip(actions, ranks):
+        groups[rank].append(action)
+    return Ranking(groups)
 
 
 def rankings_equal(left: Ranking, right: Ranking) -> bool:

@@ -11,11 +11,13 @@ Dominance is decided without building restricted frameworks.  Each call
 of :func:`is_dominant_subset` or :func:`enumerate_dominant_subsets`
 validates and compiles the framework once into exact integers, the
 same compile that :func:`~moralagg.functionals.aggregate` reads.  A
-subset is then a bitmask over the declared theories, and its ranking is
-read from one integer score per action.  Enumeration visits each subset
-together with its complement, scores every mask once, and compares the
-two rankings with each other and with the full ranking; ``Ranking``
-objects are built only for the subsets it reports.
+subset is then a bitmask over the declared theories, and the compile
+keys it by the dense ranks of one integer score per action.  Every
+ranking here and in :func:`aggregate` comes from one grouping rule, in
+:mod:`moralagg.core`.  Enumeration visits each subset together with its
+complement, keys every mask once, and compares the two keys with each
+other and with the full framework's; ``Ranking`` objects are built only
+for the subsets it reports.
 
 A functional is *fanatical* at credence level k when every framework can
 be captured this way by newly added theories of total credence at most k.
@@ -47,6 +49,7 @@ from .core import (
     Theory,
     TheoryId,
     UnknownTheoryId,
+    _ranking,
     extend,
     to_rational,
 )
@@ -192,36 +195,10 @@ def _verdict(compiled: _Compiled, mask: int) -> DominanceVerdict:
     """The dominance verdict on the subset ``mask`` of a compiled framework."""
     everyone = compiled.everyone
     full, dominant, yielding = (
-        _ranking(compiled.actions, _dense_ranks(compiled.score(m)))
+        _ranking(compiled.actions, compiled.key(m))
         for m in (everyone, mask, everyone ^ mask)
     )
-    return DominanceVerdict(
-        is_dominant=(full == dominant) and (dominant != yielding),
-        full_ranking=full,
-        dominant_ranking=dominant,
-        yielding_ranking=yielding,
-    )
-
-
-def _dense_ranks(scores: tuple) -> tuple[int, ...]:
-    """Each score's place among the distinct scores: equal iff same ranking.
-
-    Sorting and comparing neighbours avoids hashing, which is slow for
-    the ``Fraction`` scores of renormalized ``kthm``.
-    """
-    order = sorted(range(len(scores)), key=scores.__getitem__)
-    ranks = [0] * len(scores)
-    for prev, cur in zip(order, order[1:]):
-        ranks[cur] = ranks[prev] + (scores[cur] != scores[prev])
-    return tuple(ranks)
-
-
-def _ranking(actions: ActionSet, ranks: tuple[int, ...]) -> Ranking:
-    """The ranking whose groups are the actions of equal dense rank, worst first."""
-    return Ranking(
-        [a for a, r in zip(actions, ranks) if r == place]
-        for place in range(max(ranks) + 1)
-    )
+    return DominanceVerdict(full == dominant != yielding, full, dominant, yielding)
 
 
 def enumerate_dominant_subsets(
@@ -236,44 +213,43 @@ def enumerate_dominant_subsets(
     in the number of theories; frameworks larger than ``max_theories``
     are rejected up front with :class:`TooManyTheories`.  The framework
     is validated and compiled once.  Each subset and its complement are
-    then visited together, once: both masks are scored and keyed by the
+    then visited together, once: the compile keys both masks by the
     dense rank of each action's score, so two subsets rank alike exactly
     when their keys are equal.  A side is reported when its key equals
     the full framework's and differs from the other side's, with the
-    verdict :func:`is_dominant_subset` would give.  No per-subset table
-    is kept.  Results are ordered by subset size, then lexicographically
-    by ids.  A valid framework of fewer than two theories has no nonempty
-    proper subset and gives ``[]``.
+    verdict :func:`is_dominant_subset` would give and its credence from
+    the compile's integer weights.  No per-subset table is kept.  Results
+    are ordered by subset size, then lexicographically by ids.  A valid
+    framework of fewer than two theories has no nonempty proper subset
+    and gives ``[]``.
     """
-    ids = sorted(framework.theory_ids())
-    if len(ids) > max_theories:
-        raise TooManyTheories(len(ids), max_theories)
+    n = len(framework.theories)
+    if n > max_theories:
+        raise TooManyTheories(n, max_theories)
     compiled = _Compiled(spec, framework, actions)
-    if len(ids) < 2:
+    if n < 2:
         return []
-    scores = compiled.score
     everyone = compiled.everyone
-    full_key = _dense_ranks(scores(everyone))
+    full_key = compiled.key(everyone)
     full = _ranking(actions, full_key)
     bits = list(zip(framework.theory_ids(), compiled.bits))
     found: list[tuple[tuple[int, list[TheoryId]], DominantSubset]] = []
     # Masks without the top bit meet every {subset, complement} pair once.
-    for mask in range(1, 1 << (len(ids) - 1)):
-        key = _dense_ranks(scores(mask))
-        other_key = _dense_ranks(scores(everyone ^ mask))
-        if key == other_key:
+    for mask in range(1, 1 << (n - 1)):
+        mask_key = compiled.key(mask)
+        other_key = compiled.key(everyone ^ mask)
+        if mask_key == other_key:
             continue
-        if key == full_key:
+        if mask_key == full_key:
             members, rest = mask, other_key
         elif other_key == full_key:
-            members, rest = everyone ^ mask, key
+            members, rest = everyone ^ mask, mask_key
         else:
             continue
         combo = sorted(tid for tid, bit in bits if members & bit)
         verdict = DominanceVerdict(True, full, full, _ranking(actions, rest))
-        subset = DominantSubset(
-            frozenset(combo), framework.total_credence(combo), verdict
-        )
+        credence = Fraction(compiled.mass(members), compiled.den)
+        subset = DominantSubset(frozenset(combo), credence, verdict)
         found.append(((len(combo), combo), subset))
     found.sort(key=lambda entry: entry[0])
     return [subset for _, subset in found]

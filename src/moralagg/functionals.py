@@ -36,6 +36,7 @@ from .core import (
     Theory,
     TheoryId,
     UnknownAction,
+    _dense_ranks,
     ranking_from_scores,
     to_rational,
     validate_framework,
@@ -123,8 +124,9 @@ class _Compiled:
     """``framework`` over ``actions`` in exact integers, validated once.
 
     Credences become integer weights, scaled by ``den``, the lcm of their
-    denominators.  Evaluations become integer values, scaled by
-    ``scale``, one lcm common to every action.  Each action keeps one row
+    denominators, as :func:`~moralagg.core.validate_framework` returns
+    them.  Evaluations become integer values, scaled by ``scale``, one
+    lcm common to every action.  Each action keeps one row
     ``(bit, weight, value)`` per theory, where bit ``1 << i`` stands for
     the ``i``-th declared theory in a subset mask.  The rows are in
     declaration order; for ``kthm`` and ``hm``, the rules that read an
@@ -135,22 +137,20 @@ class _Compiled:
     renormalized ``kthm``).  The subset's mass is never divided out, and
     each rule's ranking is unchanged when every score is scaled by the
     same positive factor, so these scores rank a subset exactly as
-    :func:`aggregate` ranks its renormalized restriction.
-    :meth:`exact` divides the scaling back out of the full framework's
-    scores.
+    :func:`aggregate` ranks its renormalized restriction.  ``key(mask)``
+    is that ranking as ``core._dense_ranks`` gives it, and
+    ``Fraction(mass(mask), den)`` is the subset's credence.  :meth:`exact`
+    divides the scaling back out of the full framework's scores.
     """
 
     def __init__(
         self, spec: SwfSpec, framework: EthicalFramework, actions: Sequence[ActionId]
     ):
-        validate_framework(framework, actions)
+        self.den, self.weights = validate_framework(framework, actions)
         self.spec = spec
         self.actions = actions
-        credences = [framework.credences[t.id] for t in framework.theories]
-        self.den = lcm(*(c.denominator for c in credences))
-        self.weights = [c.numerator * (self.den // c.denominator) for c in credences]
-        self.bits = [1 << i for i in range(len(credences))]
-        self.everyone = (1 << len(credences)) - 1
+        self.bits = [1 << i for i in range(len(self.weights))]
+        self.everyone = (1 << len(self.weights)) - 1
         ratios = {
             a: [t.evaluations[a].as_integer_ratio() for t in framework.theories]
             for a in actions
@@ -166,12 +166,8 @@ class _Compiled:
         if spec.kind in (SwfKind.KTHM, SwfKind.HM):
             for a in actions:
                 self._sort(a)
-        self.score = {
-            SwfKind.MEC: self._mec,
-            SwfKind.MAXIMIN: self._maximin,
-            SwfKind.KTHM: self._kthm,
-            SwfKind.HM: self._hm,
-        }[spec.kind]
+        # One of _mec, _maximin, _kthm and _hm, named after the kind.
+        self.score = getattr(self, f"_{spec.kind.value}")
 
     def _sort(self, action: ActionId) -> None:
         """Order ``action``'s rows by value; the stable sort keeps ties declared."""
@@ -179,6 +175,10 @@ class _Compiled:
 
     def mass(self, mask: int) -> int:
         return sum(w for bit, w in zip(self.bits, self.weights) if mask & bit)
+
+    def key(self, mask: int) -> tuple[int, ...]:
+        """The dense ranks of ``score(mask)``: equal keys, equal rankings."""
+        return _dense_ranks(self.score(mask))
 
     def _mec(self, mask: int) -> tuple:
         return tuple(
@@ -231,11 +231,10 @@ class _Compiled:
 
     def exact(self) -> list[Fraction]:
         """The full framework's scores with the scaling divided out, as printed."""
-        if self.spec.kind is SwfKind.MAXIMIN:
-            divisor = self.scale
-        elif self.spec.kind is SwfKind.HM:
+        spec = self.spec
+        if spec.kind is SwfKind.HM:
             divisor = 2 * self.scale
-        elif self.spec.trim_mode is TrimMode.RENORMALIZED:
+        elif spec.kind is SwfKind.MAXIMIN or spec.trim_mode is TrimMode.RENORMALIZED:
             divisor = self.scale
         else:
             divisor = self.den * self.scale

@@ -197,13 +197,14 @@ class _Parser:
             raise _WordError("duplicate swf declaration")
         if len(words) < 2:
             raise _WordError("swf declaration needs a functional name")
-        kind = words[1]
-        if kind in ("mec", "maximin", "hm"):
-            _arity(words, 2, f"swf {kind}")
-            self.swf = SwfSpec(SwfKind(kind))
+        try:
+            kind = SwfKind(words[1])
+        except ValueError:
+            raise _WordError(f"unknown functional {words[1]!r}", 1) from None
+        if kind is not SwfKind.KTHM:
+            _arity(words, 2, f"swf {kind.value}")
+            self.swf = SwfSpec(kind)
             return
-        if kind != "kthm":
-            raise _WordError(f"unknown functional {kind!r}", 1)
         if len(words) not in (4, 6):
             raise _WordError(
                 "expected 'swf kthm k <rational> [trim literal|renormalized]'"

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction as F
 
 import pytest
@@ -102,6 +103,17 @@ class TestFrameworkConstruction:
         assert err.value.theory_id == "u"
         assert err.value.action == "r"
 
+    def test_total_credence_counts_each_id_once(self):
+        framework, _ = frobo()
+        assert framework.total_credence(["u", "u"]) == F(99, 100)
+        assert framework.total_credence(["d", "u", "d"]) == 1
+
+    def test_total_credence_reports_the_first_unknown_id(self):
+        framework, _ = frobo()
+        with pytest.raises(UnknownTheoryId) as err:
+            framework.total_credence(["u", "x", "u", "y", "x"])
+        assert err.value.theory_id == "x"
+
 
 class TestValidateFramework:
     def test_valid_framework_passes(self):
@@ -141,7 +153,12 @@ class TestValidateFramework:
 
     def test_coprime_denominators_summing_to_one_pass(self):
         assert self.COPRIME[-1].denominator == 4849845
-        validate_framework(self.coprime_framework(self.COPRIME), ActionSet(("a",)))
+        den, weights = validate_framework(
+            self.coprime_framework(self.COPRIME), ActionSet(("a",))
+        )
+        assert den == 4849845
+        assert sum(weights) == den
+        assert [F(w, den) for w in weights] == self.COPRIME
 
     @pytest.mark.parametrize("index, step", [(-1, -1), (-1, 1), (2, 1)])
     def test_one_numerator_off_by_one_reports_exact_total(self, index, step):
@@ -300,9 +317,17 @@ def test_restrict_composes(fw_actions, data):
 
 class TestRanking:
     def test_groups_ordered_ascending(self):
-        r = ranking_from_scores({"a": F(3), "b": F(-1), "c": F(3)})
-        assert r.groups == (frozenset({"b"}), frozenset({"a", "c"}))
-        assert r.maximal_group() == {"a", "c"}
+        for scores, groups in [
+            ({"a": F(3), "b": F(-1), "c": F(3)}, [{"b"}, {"a", "c"}]),
+            ({"a": 3, "b": "-1", "c": F(3)}, [{"b"}, {"a", "c"}]),
+            (
+                {"a": F(1, 2), "b": "1/2", "c": "0.5", "d": 0, "e": "0.75"},
+                [{"d"}, {"a", "b", "c"}, {"e"}],
+            ),
+        ]:
+            r = ranking_from_scores(scores)
+            assert r.groups == tuple(map(frozenset, groups))
+            assert r.maximal_group() == groups[-1]
 
     def test_str_is_worst_to_best(self):
         r = ranking_from_scores({"a": 1, "b": 0, "c": 1})
@@ -364,3 +389,10 @@ def test_public_names_resolve_and_are_sorted():
     assert names == sorted(set(names))
     for name in names:
         assert hasattr(moralagg, name), name
+
+
+def test_public_names_are_defined_in_moralagg_submodules():
+    for name in moralagg.__all__:
+        value = getattr(moralagg, name)
+        assert value.__module__.startswith("moralagg."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value

@@ -407,3 +407,39 @@ def test_audit_aggregates_each_base_framework_once(monkeypatch):
         monkeypatch.setattr(module, "aggregate", counting)
     assert audit.run_audit(seed=3, trials=10).ok
     assert len(calls) == 80
+
+
+SPECS = (
+    SwfSpec.mec(),
+    SwfSpec.maximin(),
+    SwfSpec.kthm("1/10", TrimMode.LITERAL),
+    SwfSpec.kthm("1/10", TrimMode.RENORMALIZED),
+    SwfSpec.hm(),
+)
+
+
+def assert_one_ranking_path(spec, framework, actions, subset):
+    """``aggregate`` and the dominance compile rank the full framework alike."""
+    verdict = is_dominant_subset(spec, framework, actions, subset)
+    assert verdict.full_ranking == aggregate(spec, framework, actions).ranking
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SwfSpec.label)
+def test_aggregate_and_dominance_rank_alike_on_seeded_frameworks(spec):
+    rng = random.Random(8)
+    for _ in range(30):
+        framework, actions = random_framework(rng, n_theories=(2, 6))
+        ids = framework.theory_ids()
+        subset = rng.sample(ids, rng.randint(1, len(ids) - 1))
+        assert_one_ranking_path(spec, framework, actions, subset)
+
+
+@given(strategies.frameworks(min_theories=2, max_theories=5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_aggregate_and_dominance_rank_alike_on_hypothesis_frameworks(fw_actions, data):
+    framework, actions = fw_actions
+    ids = framework.theory_ids()
+    size = data.draw(st.integers(1, len(ids) - 1))
+    subset = data.draw(st.permutations(ids))[:size]
+    for spec in SPECS:
+        assert_one_ranking_path(spec, framework, actions, subset)
