@@ -23,12 +23,13 @@ from fractions import Fraction
 from .fanaticism import (
     CANONICAL_ACTIONS,
     ConstructionFailed,
-    _ladder_witness,
+    _capture,
+    _ladder,
     probe_hm_non_fanatical,
     probe_kthm_non_fanatical,
     witness_maximin,
 )
-from .functionals import SwfSpec, TrimMode, aggregate
+from .functionals import SwfSpec, TrimMode
 from .sampling import random_adversary, random_framework, random_target
 
 CAPTURE_LEVELS = (Fraction(1, 100), Fraction(1, 10), Fraction(2, 5))
@@ -83,11 +84,13 @@ def run_audit(seed: int = 0, trials: int = 200) -> AuditReport:
     rng = random.Random(seed)
 
     def ladder(spec, credence):
-        def run(framework, actions):
-            base = aggregate(spec, framework, actions)
-            target = random_target(rng, base.ranking, actions)
-            return _ladder_witness(base, framework, actions, credence, target)
-        return run
+        def construct(base, scores, ranking):
+            target = random_target(rng, ranking, base.actions)
+            return _ladder(credence, target)(base, scores, ranking)
+
+        return lambda framework, actions: _capture(
+            spec, framework, actions, credence, construct
+        )
 
     def maximin(k):
         return lambda framework, actions: witness_maximin(framework, actions, k)

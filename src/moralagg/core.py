@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -169,6 +170,7 @@ class Theory:
 
     Evaluations are intertheoretically comparable by assumption, so the
     raw numbers from different theories may be summed and compared.
+    ``evaluations`` is read-only; hash and equality ignore its order.
     """
 
     id: TheoryId
@@ -180,8 +182,14 @@ class Theory:
         object.__setattr__(
             self,
             "evaluations",
-            {a: to_rational(v) for a, v in evaluations.items()},
+            MappingProxyType({a: to_rational(v) for a, v in evaluations.items()}),
         )
+
+    def __hash__(self) -> int:
+        return hash((self.id, frozenset(self.evaluations.items())))
+
+    def __reduce__(self):
+        return Theory, (self.id, dict(self.evaluations))
 
     def evaluation(self, action: ActionId) -> Fraction:
         try:
@@ -197,7 +205,8 @@ class EthicalFramework:
     Construction enforces structural sanity only (distinct ids, one
     credence per theory); the full invariants, including totality of
     evaluations over an action set and the credence sum, are checked by
-    :func:`validate_framework`.
+    :func:`validate_framework`.  ``credences`` is read-only; hash and
+    equality ignore its order.
     """
 
     theories: tuple[Theory, ...]
@@ -223,8 +232,14 @@ class EthicalFramework:
                 raise ValueError(f"no credence given for theory {theory.id!r}")
             fixed[theory.id] = to_rational(credences[theory.id])
         object.__setattr__(self, "theories", theories)
-        object.__setattr__(self, "credences", fixed)
+        object.__setattr__(self, "credences", MappingProxyType(fixed))
         object.__setattr__(self, "_index", index)
+
+    def __hash__(self) -> int:
+        return hash((self.theories, frozenset(self.credences.items())))
+
+    def __reduce__(self):
+        return EthicalFramework, (self.theories, dict(self.credences))
 
     def theory_ids(self) -> tuple[TheoryId, ...]:
         return tuple(t.id for t in self.theories)

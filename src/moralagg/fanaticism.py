@@ -27,10 +27,10 @@ credence exceeds the trim level; it also provides probes showing that the
 trimmed mean below its trim level and the weighted median resist every
 such adversary on the canonical two-action family.
 
-Every constructed witness is re-verified through
-:func:`is_dominant_subset` before it is returned; a construction that
-fails verification raises :class:`ConstructionFailed` instead of
-returning quietly.
+Every witness is built from one compile of its base framework and
+verified on a fresh compile of the extended framework before it is
+returned; a construction that fails verification raises
+:class:`ConstructionFailed` instead of returning quietly.
 """
 
 from __future__ import annotations
@@ -49,19 +49,12 @@ from .core import (
     Theory,
     TheoryId,
     UnknownTheoryId,
+    _dense_ranks,
     _ranking,
     extend,
     to_rational,
 )
-from .functionals import (
-    HALF,
-    AggregateResult,
-    SwfKind,
-    SwfSpec,
-    TrimMode,
-    _Compiled,
-    aggregate,
-)
+from .functionals import HALF, SwfKind, SwfSpec, TrimMode, _Compiled
 
 
 class NotProperSubset(MoralAggError):
@@ -281,22 +274,15 @@ def _choose_target(
     Any action works except a unique best one: the capture must change
     something, and an already uniquely best target would leave the
     yielding ranking potentially identical to the imposed chain.
-    Defaults to the first worst-group action, or the first action
-    outright when every action is tied.
+    Defaults to the first worst-group action; with two or more actions
+    it is never the unique best, since either a better group exists or
+    the one group holds every action.
     """
-    maximal = ranking.maximal_group()
     if target is None:
-        if len(ranking.groups) >= 2:
-            candidates = ranking.groups[0]
-        else:
-            candidates = frozenset(actions)
-        for a in actions:
-            if a in candidates and maximal != frozenset({a}):
-                return a
-        raise AssertionError("no valid target exists")
+        return _declaration_first(ranking.groups[0], actions)
     if target not in actions:
         raise MoralAggError(f"target {target!r} is not in the action set")
-    if maximal == frozenset({target}):
+    if ranking.maximal_group() == frozenset({target}):
         raise TargetIsUniqueMaximizer(target)
     return target
 
@@ -308,85 +294,82 @@ def _credence_level(k: RationalLike) -> Fraction:
     return k
 
 
-def _verified(
+def _capture(
     spec: SwfSpec,
     framework: EthicalFramework,
     actions: ActionSet,
-    values: Mapping[ActionId, Fraction],
     credence: Fraction,
-    construction: Mapping[str, object],
+    construct: Callable[[_Compiled, list[Fraction], Ranking], tuple],
 ) -> WitnessReport:
-    """Inject a fresh theory with ``values`` at ``credence``; re-verify it.
+    """Capture ``spec`` on ``framework`` with one theory at ``credence``.
 
-    The injected id is added to ``construction`` as its last key.
+    The base framework is compiled and scored once, and
+    ``construct(base, scores, ranking)`` returns the injected theory's
+    values and the construction record from that compile, its exact
+    scores and their ranking.  The theory is added under a fresh id,
+    which ``construction`` gains as its last key, and the extension is
+    verified on a compile of its own: the injected theory is its last
+    declared one.
     """
+    if len(actions) < 2:
+        raise MoralAggError("capturing needs at least two actions")
+    base = _Compiled(spec, framework, actions)
+    scores = base.exact()
+    ranking = _ranking(actions, _dense_ranks(scores))
+    values, construction = construct(base, scores, ranking)
     injected = Theory(_fresh_theory_id(framework.theory_ids()), values)
     construction = {**construction, "injected_id": injected.id}
     extended = extend(framework, [(injected, credence)])
-    ids = frozenset({injected.id})
-    verdict = is_dominant_subset(spec, extended, actions, ids)
+    compiled = _Compiled(spec, extended, actions)
+    verdict = _verdict(compiled, compiled.bits[-1])
     if not verdict.is_dominant:
         raise ConstructionFailed(
             f"constructed extension failed dominance verification: {construction!r}"
         )
+    ids = frozenset({injected.id})
     return WitnessReport(spec, extended, ids, credence, verdict, construction)
 
 
-def _capture_base(
-    spec: SwfSpec, framework: EthicalFramework, actions: ActionSet
-) -> AggregateResult:
-    """The result under ``spec`` that a ladder witness starts from."""
-    if len(actions) < 2:
-        raise MoralAggError("capturing needs at least two actions")
-    return aggregate(spec, framework, actions)
+def _ladder(credence: Fraction, target: Optional[ActionId]) -> Callable:
+    """The construction that captures ``mec`` or ``kthm`` with a ladder.
 
-
-def _ladder_witness(
-    base: AggregateResult,
-    framework: EthicalFramework,
-    actions: ActionSet,
-    credence: Fraction,
-    target: Optional[ActionId],
-) -> WitnessReport:
-    """Capture ``base.spec``, ``mec`` or ``kthm``, with a theory on a ladder.
-
-    ``base`` is the rule's result on ``framework``.  ``s`` bounds the
-    absolute share of any action's extended score that the base theories
-    contribute: under ``mec`` the largest absolute base score; under
-    ``kthm``, whose injected theory is never trimmed, the base theories'
-    mass ``1 - credence`` times their largest credence-weighted sum of
-    absolute evaluations, which dominates every partially-trimmed
-    remainder.  At the injected ``credence`` each rung of the ladder adds
-    ``m = 2s + 1``, more than the base theories can ever take back, so
-    the extended scores form a strict chain ending at the target.
+    ``s`` bounds the absolute share of any action's extended score that
+    the base theories contribute: under ``mec`` the largest absolute
+    base score; under ``kthm``, whose injected theory is never trimmed,
+    the base theories' mass ``1 - credence`` times their largest
+    credence-weighted sum of absolute evaluations, read from the base
+    compile, which dominates every partially-trimmed remainder.  At the
+    injected ``credence`` each rung of the ladder adds ``m = 2s + 1``,
+    more than the base theories can ever take back, so the extended
+    scores form a strict chain ending at the target.
     """
-    chosen = _choose_target(base.ranking, actions, target)
-    a_star = _declaration_first(base.ranking.maximal_group() - {chosen}, actions)
-    if base.spec.kind is SwfKind.MEC:
-        s = max(abs(v) for v in base.scores.values())
-    else:
-        s = (1 - credence) * max(
-            sum(
-                (framework.credences[t.id] * abs(t.evaluation(a))
-                 for t in framework.theories),
-                Fraction(0),
-            )
-            for a in actions
-        )
-    m = 2 * s + 1
-    # Values step, 2*step, ..., n*step along a permutation that puts the
-    # target last, so the injected theory alone ranks the target strictly best.
-    permutation = tuple(a for a in actions if a != chosen) + (chosen,)
-    step = m / credence
-    values = {a: step * (i + 1) for i, a in enumerate(permutation)}
-    construction = {
-        "target": chosen,
-        "a_star": a_star,
-        "bound": s,
-        "step": m,
-        "permutation": permutation,
-    }
-    return _verified(base.spec, framework, actions, values, credence, construction)
+
+    def construct(base: _Compiled, scores: list[Fraction], ranking: Ranking):
+        actions = base.actions
+        chosen = _choose_target(ranking, actions, target)
+        a_star = _declaration_first(ranking.maximal_group() - {chosen}, actions)
+        if base.spec.kind is SwfKind.MEC:
+            s = max(map(abs, scores))
+        else:
+            rows = base.rows.values()
+            weighted = (sum(w * abs(v) for _, w, v in row) for row in rows)
+            s = (1 - credence) * Fraction(max(weighted), base.den * base.scale)
+        m = 2 * s + 1
+        # Values step, 2*step, ..., n*step along a permutation that puts the
+        # target last, so the injected theory alone ranks the target strictly best.
+        permutation = tuple(a for a in actions if a != chosen) + (chosen,)
+        step = m / credence
+        values = {a: step * (i + 1) for i, a in enumerate(permutation)}
+        construction = {
+            "target": chosen,
+            "a_star": a_star,
+            "bound": s,
+            "step": m,
+            "permutation": permutation,
+        }
+        return values, construction
+
+    return construct
 
 
 def witness_mec(
@@ -410,12 +393,11 @@ def witness_mec(
     TargetIsUniqueMaximizer
         ``target`` was supplied and is already the unique best action.
     ConstructionFailed
-        The re-verification failed (this would be a bug, not an input
+        The verification failed (this would be a bug, not an input
         defect).
     """
     k = _credence_level(k)
-    base = _capture_base(SwfSpec.mec(), framework, actions)
-    return _ladder_witness(base, framework, actions, k, target)
+    return _capture(SwfSpec.mec(), framework, actions, k, _ladder(k, target))
 
 
 def witness_maximin(
@@ -434,23 +416,21 @@ def witness_maximin(
     ranking changes; ``reading="literal"`` undercuts the action attaining
     the global minimum instead, which can fail verification (for
     instance when that action is already alone at the bottom) and then
-    raises :class:`ConstructionFailed`.
+    raises :class:`ConstructionFailed`.  Both arguments are checked
+    before the framework is.
     """
     k = _credence_level(k)
-    if len(actions) < 2:
-        raise MoralAggError("capturing needs at least two actions")
     if reading not in ("corrected", "literal"):
         raise ValueError(f"unknown reading {reading!r}")
-    spec = SwfSpec.maximin()
-    base = aggregate(spec, framework, actions)
-    floor = min(base.scores.values())
-    if reading == "corrected":
-        a_star = _declaration_first(base.ranking.maximal_group(), actions)
-    else:
-        a_star = _declaration_first(base.ranking.groups[0], actions)
-    values = {a: floor - 2 if a == a_star else floor - 1 for a in actions}
-    construction = {"a_star": a_star, "floor": floor, "reading": reading}
-    return _verified(spec, framework, actions, values, k, construction)
+
+    def undercut(base: _Compiled, scores: list[Fraction], ranking: Ranking):
+        floor = min(scores)
+        worst, best = ranking.groups[0], ranking.maximal_group()
+        a_star = _declaration_first(best if reading == "corrected" else worst, actions)
+        values = {a: floor - 2 if a == a_star else floor - 1 for a in actions}
+        return values, {"a_star": a_star, "floor": floor, "reading": reading}
+
+    return _capture(SwfSpec.maximin(), framework, actions, k, undercut)
 
 
 def witness_kthm(
@@ -480,8 +460,8 @@ def witness_kthm(
     k_prime = to_rational(k_prime)
     if not (0 <= k < k_prime < HALF):
         raise BadCredencePair(k, k_prime)
-    base = _capture_base(SwfSpec.kthm(k, TrimMode.LITERAL), framework, actions)
-    return _ladder_witness(base, framework, actions, k_prime, target)
+    spec = SwfSpec.kthm(k, TrimMode.LITERAL)
+    return _capture(spec, framework, actions, k_prime, _ladder(k_prime, target))
 
 
 CANONICAL_ACTIONS = ActionSet(("a", "b"))

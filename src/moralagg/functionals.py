@@ -13,8 +13,8 @@ a weak order over the actions (worst group first):
 All scores are exact rationals, so ties are exact ties.  Each rule is
 implemented once, over one integer compile of the framework
 (:class:`_Compiled`).  :func:`aggregate`, the per-action functions and
-the dominance checks of :mod:`moralagg.fanaticism` all read it; the first
-two divide its scaling back out of the scores they return.
+the dominance checks and witnesses of :mod:`moralagg.fanaticism` read it;
+all but the dominance checks divide its scaling back out of its scores.
 """
 
 from __future__ import annotations

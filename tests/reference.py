@@ -108,3 +108,23 @@ def scores(spec, framework, actions):
 
 def ranking(spec, framework, actions):
     return ranking_from_scores(scores(spec, framework, actions))
+
+
+def ladder_bound(spec, framework, actions, credence):
+    """The bound ``s`` of the ladder witness that injects ``credence``.
+
+    Under ``mec`` the largest absolute score.  Under ``kthm``, whose
+    injected theory is never trimmed, ``1 - credence`` (the base
+    theories' mass after extension) times the largest credence-weighted
+    sum of absolute evaluations of one action.
+    """
+    if spec.kind is SwfKind.MEC:
+        return max(abs(wam(framework, a)) for a in actions)
+    return (1 - credence) * max(
+        sum(
+            (framework.credences[t.id] * abs(t.evaluations[a])
+             for t in framework.theories),
+            F(0),
+        )
+        for a in actions
+    )

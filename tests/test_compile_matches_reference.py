@@ -6,7 +6,9 @@ must equal the one ``reference.py`` computes from the rule's definition,
 under all five spec variants, on seeded populations, on hypothesis
 frameworks, and on the scaling-stress frameworks of
 ``test_dominance_kernel.py`` (exact ties, coprime credence denominators,
-very large and very small evaluations).
+very large and very small evaluations).  The ladder witnesses read their
+bound from the same compile; the bound, the step and the injected
+evaluations must equal the ones the reference gives.
 """
 
 import random
@@ -25,6 +27,8 @@ from moralagg import (
     top_k,
     trimmed_wam,
     wam,
+    witness_kthm,
+    witness_mec,
     wmedian,
 )
 from moralagg.sampling import random_framework
@@ -92,3 +96,46 @@ def test_stress_frameworks_match_reference(factor):
         assert_matches_reference(scaled(framework, factor), actions, k)
     for framework, actions in seeded_population(6000, 3, (6, 6)):
         assert_matches_reference(scaled(framework, factor), actions)
+
+
+TRIM_LEVEL = F(1, 10)
+# Injected credences; the kthm witness takes those above the trim level.
+LADDER_CREDENCES = (F(1, 100), F(1, 7), F(2, 5))
+
+
+def assert_ladder_matches_reference(framework, actions):
+    for credence in LADDER_CREDENCES:
+        cases = [(SwfSpec.mec(), witness_mec(framework, actions, credence))]
+        if credence > TRIM_LEVEL:
+            report = witness_kthm(framework, actions, TRIM_LEVEL, credence)
+            cases.append((SwfSpec.kthm(TRIM_LEVEL), report))
+        for spec, report in cases:
+            bound = reference.ladder_bound(spec, framework, actions, credence)
+            construction = report.construction
+            assert construction["bound"] == bound, spec.label()
+            assert type(construction["bound"]) is F
+            assert construction["step"] == 2 * bound + 1
+            injected = report.extended_framework.theory(construction["injected_id"])
+            rungs = [injected.evaluations[a] for a in construction["permutation"]]
+            step = (2 * bound + 1) / credence
+            assert rungs == [step * (i + 1) for i in range(len(actions))]
+
+
+@pytest.mark.parametrize("nt", range(2, 9))
+def test_ladder_bound_matches_reference_on_seeded_frameworks(nt):
+    for framework, actions in seeded_population(9000 + nt, 4, (nt, nt)):
+        assert_ladder_matches_reference(framework, actions)
+
+
+@given(strategies.frameworks(min_theories=1, min_actions=2))
+@settings(max_examples=40, deadline=None)
+def test_ladder_bound_matches_reference_on_hypothesis_frameworks(fw_actions):
+    assert_ladder_matches_reference(*fw_actions)
+
+
+@pytest.mark.parametrize("factor", [1, 10**30, F(1, 10**30)])
+def test_ladder_bound_matches_reference_on_stress_frameworks(factor):
+    framework, actions = coprime_ties_framework()
+    assert_ladder_matches_reference(scaled(framework, factor), actions)
+    for framework, actions in seeded_population(6000, 3, (6, 6)):
+        assert_ladder_matches_reference(scaled(framework, factor), actions)

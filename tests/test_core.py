@@ -1,4 +1,6 @@
+import copy
 import importlib
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -113,6 +115,50 @@ class TestFrameworkConstruction:
         with pytest.raises(UnknownTheoryId) as err:
             framework.total_credence(["u", "x", "u", "y", "x"])
         assert err.value.theory_id == "x"
+
+
+class TestImmutableValues:
+    def test_equal_theories_hash_equal_whatever_the_order(self):
+        left = Theory("t", {"a": 1, "b": 0})
+        right = Theory("t", {"b": "0", "a": F(1)})
+        assert left == right
+        assert hash(left) == hash(right)
+        assert Theory("t", {"a": 1, "b": 1}) != left
+
+    def test_equal_frameworks_hash_equal_whatever_the_order(self):
+        u, d = frobo()[0].theories
+        left = EthicalFramework([u, d], {"u": "99/100", "d": "1/100"})
+        right = EthicalFramework(
+            [Theory("u", {"r": -2, "l": -1}), d], {"d": F(1, 100), "u": "0.99"}
+        )
+        assert left == right
+        assert hash(left) == hash(right)
+        assert EthicalFramework([d, u], left.credences) != left
+
+    def test_set_members_and_dict_keys(self):
+        framework, _ = frobo()
+        twin, _ = frobo()
+        assert len({framework, twin}) == 1
+        assert {framework: "x"}[twin] == "x"
+        assert len(set(framework.theories) | set(twin.theories)) == 2
+        assert {twin.theories[0]: 1}[framework.theories[0]] == 1
+
+    def test_mappings_are_read_only(self):
+        framework, _ = frobo()
+        with pytest.raises(TypeError):
+            framework.theories[0].evaluations["l"] = "oops"
+        with pytest.raises(TypeError):
+            framework.credences["u"] = F(1, 2)
+        assert framework.theories[0].evaluations["l"] == -1
+        assert framework.credences["u"] == F(99, 100)
+
+    def test_copies_and_pickles_are_equal(self):
+        framework, _ = frobo()
+        for clone in (copy.deepcopy(framework), pickle.loads(pickle.dumps(framework))):
+            assert clone == framework
+            assert hash(clone) == hash(framework)
+            with pytest.raises(TypeError):
+                clone.credences["u"] = F(1, 2)
 
 
 class TestValidateFramework:

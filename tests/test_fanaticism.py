@@ -12,6 +12,7 @@ from moralagg import (
     ConstructionFailed,
     CredenceTooHigh,
     EthicalFramework,
+    MoralAggError,
     NotProperSubset,
     Ranking,
     SwfSpec,
@@ -250,6 +251,11 @@ class TestWitnessMaximin:
         with pytest.raises(BadCredence):
             witness_maximin(framework, actions, "1/2")
 
+    def test_reading_is_checked_before_the_action_count(self):
+        framework = EthicalFramework([Theory("t", {"a": 0})], {"t": 1})
+        with pytest.raises(ValueError, match="unknown reading 'sideways'"):
+            witness_maximin(framework, ActionSet(("a",)), "1/4", reading="sideways")
+
 
 class TestWitnessKthm:
     def test_textbook_values(self):
@@ -336,6 +342,23 @@ class TestProbes:
         assert tuple(actions) == ("a", "b")
 
 
+@pytest.mark.parametrize(
+    "capture",
+    [
+        lambda fw, actions: witness_mec(fw, actions, "1/4"),
+        lambda fw, actions: witness_maximin(fw, actions, "1/4"),
+        lambda fw, actions: witness_kthm(fw, actions, "1/10", "1/4"),
+    ],
+    ids=["mec", "maximin", "kthm"],
+)
+def test_every_witness_needs_two_actions(capture):
+    framework = EthicalFramework([Theory("t", {"a": 0})], {"t": 1})
+    with pytest.raises(MoralAggError) as caught:
+        capture(framework, ActionSet(("a",)))
+    assert type(caught.value) is MoralAggError
+    assert str(caught.value) == "capturing needs at least two actions"
+
+
 @given(strategies.frameworks(min_actions=2), strategies.positive_trim_levels)
 @settings(max_examples=60)
 def test_mean_witness_holds_across_random_frameworks(fw_actions, k):
@@ -393,20 +416,27 @@ def test_random_probe_storm():
 
 
 def test_audit_aggregates_each_base_framework_once(monkeypatch):
-    # The mec and kthm suites draw their target from the base result and
-    # hand that same result to the ladder witness.
+    # Each capture trial draws one framework and compiles it once: the
+    # random target and the witness both read that one base compile.
     from moralagg import audit, fanaticism
 
-    calls = []
-    for module in (audit, fanaticism):
+    drawn, compiled = [], []
 
-        def counting(*args, original=module.aggregate):
-            calls.append(args[0])
-            return original(*args)
+    def draw(*args, original=audit.random_framework):
+        framework, actions = original(*args)
+        drawn.append(framework)
+        return framework, actions
 
-        monkeypatch.setattr(module, "aggregate", counting)
+    def compile_(spec, framework, actions, original=fanaticism._Compiled):
+        compiled.append(framework)
+        return original(spec, framework, actions)
+
+    monkeypatch.setattr(audit, "random_framework", draw)
+    monkeypatch.setattr(fanaticism, "_Compiled", compile_)
     assert audit.run_audit(seed=3, trials=10).ok
-    assert len(calls) == 80
+    bases = [f for f in compiled if any(f is d for d in drawn)]
+    assert len(bases) == 80
+    assert [id(f) for f in bases] == [id(f) for f in drawn]
 
 
 SPECS = (

@@ -6,6 +6,10 @@
 - Every top-level function and class in ``src/moralagg`` is used
   somewhere other than its own definition, or is exported in
   ``__all__``: a helper that nothing calls is dead code.
+- Capturing reads one integer compile: ``fanaticism`` and ``audit``
+  import neither ``aggregate`` nor ``AggregateResult``, and nothing in
+  ``src/moralagg`` calls ``is_dominant_subset``, which stays a public,
+  traced entry point.
 """
 
 import ast
@@ -76,3 +80,23 @@ def test_every_top_level_definition_is_used_or_exported():
         if name not in used and name not in moralagg.__all__
     )
     assert unused == []
+
+
+def test_capturing_reads_the_compile_only():
+    for module in ("fanaticism.py", "audit.py"):
+        imported = {
+            alias.name
+            for node in ast.walk(ast.parse((SOURCE / module).read_text()))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not imported & {"aggregate", "AggregateResult"}, module
+    callers = sorted(
+        path.name
+        for path in SOURCE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "is_dominant_subset"
+    )
+    assert callers == []
