@@ -17,9 +17,9 @@ claims hold for every input, so the pass criterion is 100%.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import _frozen
 from .fanaticism import (
     CANONICAL_ACTIONS,
     ConstructionFailed,
@@ -37,7 +37,7 @@ KTHM_TRIM_LEVEL = Fraction(1, 10)
 KTHM_INJECTION_LEVELS = (Fraction(1, 5), Fraction(2, 5))
 
 
-@dataclass(frozen=True)
+@_frozen
 class SuiteResult:
     """One audited claim: how many trials, how many behaved as proven."""
 
@@ -51,7 +51,7 @@ class SuiteResult:
         return self.passed == self.total
 
 
-@dataclass(frozen=True)
+@_frozen
 class AuditReport:
     seed: int
     trials: int

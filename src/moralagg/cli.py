@@ -24,20 +24,16 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .audit import run_audit
 from .core import MoralAggError, Ranking, to_rational
-from .fanaticism import (
-    DominanceVerdict,
-    WitnessReport,
-    enumerate_dominant_subsets,
-    witness_kthm,
-    witness_maximin,
-    witness_mec,
-)
 from .functionals import SwfKind, SwfSpec, TrimMode, aggregate
 from .scenario import ScenarioDocument, parse_scenario, serialize_scenario
+
+# Dominance, witnesses and the audit load only in the subcommands that
+# run them, so validate, rank and compare never compile those modules.
+if TYPE_CHECKING:
+    from .fanaticism import DominanceVerdict, WitnessReport
 
 JSON_SCHEMA = "moralagg.report/1"
 _TRIM_MODES = [mode.value for mode in TrimMode]
@@ -238,6 +234,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_dominant(args) -> int:
+    from .fanaticism import enumerate_dominant_subsets
+
     document = _load(args.scenario)
     spec = _spec_from_flags(args, document)
     found = enumerate_dominant_subsets(
@@ -271,6 +269,8 @@ def _cmd_dominant(args) -> int:
 
 
 def _witness_report(args, document: ScenarioDocument) -> WitnessReport:
+    from .fanaticism import witness_kthm, witness_maximin, witness_mec
+
     kthm = args.swf == "kthm"
     if kthm and (args.k is None or args.kprime is None):
         raise _UsageError("--swf kthm needs --k and --kprime")
@@ -350,6 +350,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .audit import run_audit
+
     if args.trials < 0:
         raise _UsageError("--trials must be >= 0")
     report = run_audit(seed=args.seed, trials=args.trials)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -124,8 +124,77 @@ def to_rational(value: RationalLike) -> Fraction:
         token = value.strip()
         if not _RATIONAL_RE.match(token):
             raise ValueError(f"not an exact rational literal: {value!r}")
-        return Fraction(token)
+        # The gate passed, so the value is built from the text's own parts.
+        num, slash, den = token.partition("/")
+        if slash:
+            return Fraction(int(num), int(den))
+        whole, dot, frac = token.partition(".")
+        if not dot:
+            return Fraction(int(token))
+        try:
+            return Fraction(int(whole + frac), 10 ** len(frac))
+        except ValueError:
+            # Past int()'s digit limit once joined; Fraction(str) converts
+            # the two parts apart, so it decides as it always did.
+            return Fraction(token)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def _frozen(cls):
+    """Make ``cls`` an immutable value class over its annotated fields.
+
+    The part of ``dataclass(frozen=True)`` the package uses, without
+    importing ``dataclasses`` into every process: an ``__init__`` unless
+    ``cls`` has one (the fields as parameters, class-level values as
+    defaults, then ``__post_init__``); ``==`` within the class, field by
+    field; a hash of the fields unless ``cls`` has one; the same
+    ``repr``; ``AttributeError`` on assignment or deletion;
+    ``__match_args__``.  Objects pickle and copy through their
+    ``__dict__``, as dataclasses do.
+    """
+    names = tuple(cls.__annotations__)
+    # The fields as a tuple, or the field itself when there is only one.
+    values = attrgetter(*names)
+    if "__init__" not in vars(cls):
+        # Generated as dataclasses does: a real signature costs no more per
+        # call than hand-written code, and setting each field through
+        # object.__setattr__ keeps the instance's attributes in the class's
+        # shared layout (a dict per instance would add work for the GC).
+        params = ", ".join(
+            f"{n}=_class[{n!r}]" if n in vars(cls) else n for n in names
+        )
+        body = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+        if hasattr(cls, "__post_init__"):
+            body += "    self.__post_init__()\n"
+        namespace = {"_set": object.__setattr__, "_class": vars(cls)}
+        exec(f"def __init__(self, {params}):\n{body}", namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    if "__hash__" not in vars(cls):
+        cls.__hash__ = lambda self: hash(values(self))
+    cls.__eq__ = __eq__
+    cls.__repr__ = __repr__
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+    cls.__match_args__ = names
+    return cls
 
 
 def _check_id_token(value: str, what: str) -> str:
@@ -136,7 +205,7 @@ def _check_id_token(value: str, what: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
+@_frozen
 class ActionSet:
     """Ordered, duplicate-free collection of action identifiers."""
 
@@ -164,7 +233,7 @@ class ActionSet:
         return action in self.actions
 
 
-@dataclass(frozen=True)
+@_frozen
 class Theory:
     """An ethical theory: an id plus exact evaluations of actions.
 
@@ -198,7 +267,7 @@ class Theory:
             raise MissingEvaluation(self.id, action) from None
 
 
-@dataclass(frozen=True)
+@_frozen
 class EthicalFramework:
     """Theories in declaration order plus a credence for each.
 
@@ -261,7 +330,7 @@ class EthicalFramework:
         return sum((self.credence(t) for t in dict.fromkeys(theory_ids)), Fraction(0))
 
 
-@dataclass(frozen=True)
+@_frozen
 class Ranking:
     """A weak order over actions: an ordered partition, worst group first.
 

@@ -35,7 +35,6 @@ returned; a construction that fails verification raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -50,6 +49,7 @@ from .core import (
     TheoryId,
     UnknownTheoryId,
     _dense_ranks,
+    _frozen,
     _ranking,
     extend,
     to_rational,
@@ -109,7 +109,7 @@ class ConstructionFailed(MoralAggError):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class DominanceVerdict:
     """Outcome of one dominance check.
 
@@ -126,14 +126,14 @@ class DominanceVerdict:
     yielding_ranking: Ranking
 
 
-@dataclass(frozen=True)
+@_frozen
 class DominantSubset:
     theory_ids: frozenset[TheoryId]
     total_credence: Fraction
     verdict: DominanceVerdict
 
 
-@dataclass(frozen=True)
+@_frozen
 class WitnessReport:
     """A capturing extension, verified dominant under ``spec``.
 

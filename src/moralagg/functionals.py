@@ -20,7 +20,6 @@ all but the dominance checks divide its scaling back out of its scores.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -37,6 +36,7 @@ from .core import (
     TheoryId,
     UnknownAction,
     _dense_ranks,
+    _frozen,
     ranking_from_scores,
     to_rational,
     validate_framework,
@@ -61,7 +61,7 @@ class TrimMode(enum.Enum):
     RENORMALIZED = "renormalized"
 
 
-@dataclass(frozen=True)
+@_frozen
 class SwfSpec:
     """Which functional to run, plus the trim level and mode for ``kthm``.
 
@@ -366,7 +366,7 @@ def wmedian(framework: EthicalFramework, action: ActionId) -> Fraction:
     return _view(SwfSpec.hm(), framework, action).exact()[0]
 
 
-@dataclass(frozen=True)
+@_frozen
 class AggregateResult:
     """Scores and the induced ranking for one functional over one framework."""
 

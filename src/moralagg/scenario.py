@@ -40,7 +40,6 @@ document, and serializing is idempotent byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -49,6 +48,7 @@ from .core import (
     EthicalFramework,
     MoralAggError,
     Theory,
+    _frozen,
     to_rational,
     validate_framework,
 )
@@ -84,7 +84,7 @@ class ValidationError(ScenarioError):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class ScenarioDocument:
     """Parsed scenario: the framework, its action set, optional default functional."""
 

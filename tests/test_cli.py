@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -7,7 +9,8 @@ import pytest
 from moralagg import SwfSpec, parse_scenario
 from moralagg.cli import approx, main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "scenarios"
 FROBO = str(FIXTURES / "frobo.scenario")
 TIEBREAKER = str(FIXTURES / "tiebreaker.scenario")
 
@@ -409,3 +412,55 @@ class TestOversizedResults:
         self.assert_one_error_line(argv + ["--out", str(out_file)], capsys)
         assert not out_file.exists()
         self.assert_one_error_line(argv + ["--json"], capsys)
+
+
+# Run one subcommand in a fresh interpreter without ``site`` (so nothing
+# but moralagg's own imports load) and print the loaded module names.
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from moralagg.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def modules_loaded_by(argv):
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADED_AFTER, str(ROOT / "src"), *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout)
+    assert code == 0
+    return set(modules)
+
+
+class TestImportsPerSubcommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--json", "--swf", "mec", FROBO],
+            ["validate", FROBO],
+            ["compare", "--json", FROBO],
+        ],
+    )
+    def test_scoring_loads_no_dominance_audit_or_dataclasses(self, argv):
+        loaded = modules_loaded_by(argv)
+        unwanted = {
+            "moralagg.fanaticism",
+            "moralagg.audit",
+            "moralagg.sampling",
+            "dataclasses",
+            "inspect",
+        }
+        assert "moralagg.scenario" in loaded
+        assert loaded & unwanted == set()
+
+    def test_witness_loads_dominance_but_not_the_audit(self):
+        loaded = modules_loaded_by(["witness", "--swf", "mec", "--credence", "1/10", FROBO])
+        assert "moralagg.fanaticism" in loaded
+        assert loaded & {"moralagg.audit", "moralagg.sampling"} == set()

@@ -1,7 +1,11 @@
+import ast
 import copy
+import dataclasses
 import importlib
 import pickle
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -32,6 +36,8 @@ from moralagg import (
 )
 
 import strategies
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "moralagg"
 
 
 def frobo():
@@ -67,6 +73,96 @@ class TestToRational:
     def test_malformed_strings_rejected(self, bad):
         with pytest.raises(ValueError):
             to_rational(bad)
+
+
+_LITERAL = re.compile(r"[+-]?(?:\d+/[1-9]\d*|\d+\.\d*|\.\d+|\d+)\Z")
+
+
+def reference_to_rational(value):
+    """``to_rational`` as it was: the literal gate, then ``Fraction(str)``."""
+    if isinstance(value, F):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("bool is not a rational value")
+    if isinstance(value, int):
+        return F(value)
+    if isinstance(value, float):
+        raise TypeError(
+            f"refusing float {value!r}: floats are inexact, pass str, int or Fraction"
+        )
+    if isinstance(value, str):
+        token = value.strip()
+        if not _LITERAL.match(token):
+            raise ValueError(f"not an exact rational literal: {value!r}")
+        return F(token)
+    raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def outcome(convert, value):
+    """The value and its exact type, or the error's type and message."""
+    try:
+        result = convert(value)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return type(result), result
+
+
+# ASCII digits first, so that shrinking ends on them; then Arabic-Indic
+# and fullwidth digits, which ``\d`` and ``int`` both accept.
+_DIGIT = st.sampled_from("0123456789" + "\u0660\u0663\u0664\u0669" + "\uff10\uff15")
+_DIGITS = st.one_of(
+    st.text(_DIGIT, max_size=6),
+    st.integers(0, 10**33).map(str),
+    st.integers(0, 10**31).map(lambda n: f"00{n}"),
+)
+
+
+@st.composite
+def literals(draw):
+    """Words of the literal grammar, with near misses: empty parts, stray
+    signs and padding, leading zeros, non-ASCII digits."""
+    a, b = draw(_DIGITS), draw(_DIGITS)
+    body = draw(st.sampled_from([f"{a}/{b}", f"{a}.{b}", f"{a}.", f".{b}", a]))
+    sign = draw(st.sampled_from(["", "-", "+", "--", "+-"]))
+    pad = draw(st.sampled_from(["", " ", "\t", " \n"]))
+    return f"{pad}{sign}{body}{pad}"
+
+
+class TestToRationalMatchesFraction:
+    @given(literals())
+    def test_literals(self, text):
+        assert outcome(to_rational, text) == outcome(reference_to_rational, text)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "5.", ".5", "-.5", "+5.", "-0", "+0/7", "007/010", "0.000",
+            "-12.340", "00.0500", "1/3", "-4/6", "10" + "0" * 29 + "/3",
+            "9" * 31 + "." + "9" * 31, "\u0663/4", "\u0663/\u0664",
+            "\u0663.\u0664", "\uff11\uff12", "4/0", "4/07", ".", "-", "+.",
+            "1e3", "1_000", "1 /2", "0x10", "nan", "",
+            0.5, True, None, b"1/2", [1], 7, F(2, 6),
+        ],
+    )
+    def test_examples(self, value):
+        assert outcome(to_rational, value) == outcome(reference_to_rational, value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "7" * 4301,
+            "-" + "7" * 4301 + "/3",
+            "3/" + "7" * 4301,
+            "." + "7" * 4301,
+            "7" * 4301 + ".",
+            "7" * 2200 + "." + "7" * 2200,
+        ],
+    )
+    def test_past_the_int_digit_limit(self, value):
+        # Python refuses to convert a string of over 4300 digits to int.
+        # Both raise alike, except where the digits split across the
+        # point stay under the limit on each side: both accept those.
+        assert outcome(to_rational, value) == outcome(reference_to_rational, value)
 
 
 class TestActionSet:
@@ -159,6 +255,175 @@ class TestImmutableValues:
             assert hash(clone) == hash(framework)
             with pytest.raises(TypeError):
                 clone.credences["u"] = F(1, 2)
+
+
+def value_samples():
+    """For each value class: two equal objects built apart, and a third
+    that differs from them in one field."""
+    framework, actions = frobo()
+    ranks = Ranking([["r"], ["l"]]), Ranking([["l"], ["r"]])
+    mec, kthm = moralagg.SwfSpec.mec(), moralagg.SwfSpec.kthm("1/10")
+
+    def verdict(i):
+        return moralagg.DominanceVerdict(True, ranks[0], ranks[0], ranks[i])
+
+    def suite(i):
+        return moralagg.SuiteResult("mec", "1/10", 3 - i, 3)
+
+    return {
+        "ActionSet": lambda i: ActionSet(("l", "r")[:: 1 - 2 * i]),
+        "Theory": lambda i: Theory("u", {"l": -1, "r": -2 - i}),
+        "EthicalFramework": lambda i: EthicalFramework(
+            framework.theories, {"u": F(99 - i, 100), "d": F(1 + i, 100)}
+        ),
+        "Ranking": lambda i: Ranking([["r"], ["l"]][:: 1 - 2 * i]),
+        "SwfSpec": lambda i: moralagg.SwfSpec.kthm(F(1, 10 + i), "renormalized"),
+        "AggregateResult": lambda i: moralagg.aggregate(
+            (mec, kthm)[i], framework, actions
+        ),
+        "DominanceVerdict": verdict,
+        "DominantSubset": lambda i: moralagg.DominantSubset(
+            frozenset({"u"}), F(99, 100), verdict(i)
+        ),
+        "WitnessReport": lambda i: moralagg.WitnessReport(
+            mec, framework, frozenset({"x"}), F(1, 10), verdict(i), {"bound": 3}
+        ),
+        "ScenarioDocument": lambda i: moralagg.ScenarioDocument(
+            framework, actions, (None, mec)[i]
+        ),
+        "SuiteResult": suite,
+        "AuditReport": lambda i: moralagg.AuditReport(7, 3, (suite(0), suite(i))),
+    }
+
+
+def dataclass_twin(cls):
+    """``cls`` as ``dataclass(frozen=True)`` would build it: the same fields
+    and class-level defaults, and a ``__hash__`` that ``cls`` defines itself."""
+    fields = [
+        (name, object, dataclasses.field(default=vars(cls)[name]))
+        if name in vars(cls)
+        else name
+        for name in cls.__annotations__
+    ]
+    own_hash = {"__hash__": cls.__hash__} if "__hash__" in vars(cls) else {}
+    return dataclasses.make_dataclass(
+        cls.__name__, fields, namespace=own_hash, frozen=True
+    )
+
+
+def twin_of(obj, twin):
+    return twin(*(getattr(obj, name) for name in obj.__match_args__))
+
+
+def hash_or_error(obj):
+    try:
+        return hash(obj)
+    except TypeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(value_samples()))
+class TestValueClassesMatchFrozenDataclasses:
+    def objects(self, name):
+        make = value_samples()[name]
+        first, second, other = make(0), make(0), make(1)
+        twin = dataclass_twin(type(first))
+        return (first, second, other), [twin_of(o, twin) for o in (first, second, other)]
+
+    def test_repr_and_match_args(self, name):
+        objs, twins = self.objects(name)
+        assert [repr(o) for o in objs] == [repr(t) for t in twins]
+        assert objs[0].__match_args__ == twins[0].__match_args__
+        assert objs[0].__match_args__ == tuple(type(objs[0]).__annotations__)
+
+    def test_equality(self, name):
+        (first, second, other), twins = self.objects(name)
+        assert first == second and not first != second
+        assert first != other and not first == other
+        assert (twins[0] == twins[1], twins[0] == twins[2]) == (True, False)
+        # Another class with the same fields and values is never equal.
+        assert first != twins[0] and not first == twins[0]
+        assert first.__eq__(twins[0]) is NotImplemented
+        assert first != "x" and first.__eq__(None) is NotImplemented
+
+    def test_equal_objects_hash_equal(self, name):
+        (first, second, _), twins = self.objects(name)
+        assert isinstance(hash_or_error(first), int) == isinstance(
+            hash_or_error(twins[0]), int
+        )
+        assert hash_or_error(first) == hash_or_error(second)
+
+    def test_fields_cannot_be_set_or_deleted(self, name):
+        (first, _, _), (twin, _, _) = self.objects(name)
+        field = first.__match_args__[0]
+        before = repr(first)
+        for obj in (first, twin):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+            with pytest.raises(AttributeError):
+                obj.unrelated = 1
+        assert repr(first) == before
+
+    def test_pickle_copy_and_deepcopy(self, name):
+        (first, _, _), _ = self.objects(name)
+        for clone in (
+            pickle.loads(pickle.dumps(first)),
+            copy.copy(first),
+            copy.deepcopy(first),
+        ):
+            assert type(clone) is type(first)
+            assert clone == first
+            assert repr(clone) == repr(first)
+            with pytest.raises(AttributeError):
+                setattr(clone, first.__match_args__[0], None)
+
+
+def test_value_classes_build_from_keywords_and_defaults():
+    framework, actions = frobo()
+    document = moralagg.ScenarioDocument(framework, actions)
+    assert document.default_swf is None
+    assert document == moralagg.ScenarioDocument(
+        actions=actions, framework=framework, default_swf=None
+    )
+    spec = moralagg.SwfSpec(moralagg.SwfKind.MEC)
+    assert (spec.k, spec.trim_mode) == (None, moralagg.TrimMode.LITERAL)
+    assert spec == moralagg.SwfSpec(kind=moralagg.SwfKind.MEC) == moralagg.SwfSpec.mec()
+    # __post_init__ runs on keyword construction too.
+    assert moralagg.SwfSpec(moralagg.SwfKind.KTHM, k="1/10").k == F(1, 10)
+    with pytest.raises(moralagg.InvalidSpec):
+        moralagg.SwfSpec(k="1/10", kind=moralagg.SwfKind.MEC)
+    suite = moralagg.SuiteResult(name="mec", level="1/10", passed=1, total=1)
+    assert suite == moralagg.SuiteResult("mec", "1/10", 1, 1) and suite.ok
+
+
+@pytest.mark.parametrize("name", sorted(value_samples()))
+def test_value_classes_reject_missing_or_extra_arguments(name):
+    sample = value_samples()[name](0)
+    cls, values = type(sample), [getattr(sample, n) for n in sample.__match_args__]
+    first = sample.__match_args__[0]
+    for args, kwargs in [
+        ((), {}),
+        ((*values, None), {}),
+        (values, {first: values[0]}),
+        (values, {"unknown": 1}),
+    ]:
+        for build in (cls, dataclass_twin(cls)):
+            with pytest.raises(TypeError):
+                build(*args, **kwargs)
+
+
+def test_value_samples_cover_every_value_class():
+    decorated = {
+        node.name
+        for path in SOURCE.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(d, "id", None) == "_frozen" for d in node.decorator_list)
+    }
+    assert decorated == set(value_samples())
+    assert len(decorated) == 12
 
 
 class TestValidateFramework:
@@ -442,3 +707,84 @@ def test_public_names_are_defined_in_moralagg_submodules():
         value = getattr(moralagg, name)
         assert value.__module__.startswith("moralagg."), name
         assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+# The public names, as they were when every module loaded with the package.
+PUBLIC_NAMES = [
+    "ActionSet",
+    "ActionSetMismatch",
+    "AggregateResult",
+    "AuditReport",
+    "BadCredence",
+    "BadCredencePair",
+    "ConstructionFailed",
+    "CredenceMassExceeded",
+    "CredenceOutOfRange",
+    "CredenceSumNotOne",
+    "CredenceTooHigh",
+    "DominanceVerdict",
+    "DominantSubset",
+    "DuplicateActionId",
+    "DuplicateTheoryId",
+    "EmptyRestriction",
+    "EthicalFramework",
+    "InvalidSpec",
+    "MissingEvaluation",
+    "MoralAggError",
+    "NotProperSubset",
+    "NumberFormatError",
+    "Ranking",
+    "ScenarioDocument",
+    "ScenarioError",
+    "ScenarioSyntaxError",
+    "SuiteResult",
+    "SwfKind",
+    "SwfSpec",
+    "TargetIsUniqueMaximizer",
+    "Theory",
+    "TooManyTheories",
+    "TrimMode",
+    "UnknownAction",
+    "UnknownTheoryId",
+    "ValidationError",
+    "WitnessReport",
+    "aggregate",
+    "bottom_k",
+    "canonical_family",
+    "enumerate_dominant_subsets",
+    "extend",
+    "is_dominant_subset",
+    "min_evaluation",
+    "parse_scenario",
+    "probe_hm_non_fanatical",
+    "probe_kthm_non_fanatical",
+    "ranking_from_scores",
+    "rankings_equal",
+    "restrict",
+    "run_audit",
+    "serialize_scenario",
+    "sorted_evaluations",
+    "theory_ranking",
+    "to_rational",
+    "top_k",
+    "trimmed_wam",
+    "validate_framework",
+    "wam",
+    "witness_kthm",
+    "witness_maximin",
+    "witness_mec",
+    "wmedian",
+]
+
+
+def test_public_names_are_unchanged_and_star_import_resolves_them():
+    assert moralagg.__all__ == PUBLIC_NAMES
+    namespace = {}
+    exec("from moralagg import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert namespace[name] is getattr(moralagg, name), name
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        moralagg.nonexistent

@@ -6,6 +6,9 @@
 - Every top-level function and class in ``src/moralagg`` is used
   somewhere other than its own definition, or is exported in
   ``__all__``: a helper that nothing calls is dead code.
+- No module in ``src/moralagg`` imports ``dataclasses``: it pulls
+  ``inspect``, ``ast``, ``dis`` and ``tokenize`` into every process, and
+  ``core._frozen`` gives the value classes what they use of it.
 - Capturing reads one integer compile: ``fanaticism`` and ``audit``
   import neither ``aggregate`` nor ``AggregateResult``, and nothing in
   ``src/moralagg`` calls ``is_dominant_subset``, which stays a public,
@@ -100,3 +103,20 @@ def test_capturing_reads_the_compile_only():
         == "is_dominant_subset"
     )
     assert callers == []
+
+
+def test_no_module_imports_dataclasses():
+    importers = sorted(
+        path.name
+        for path in SOURCE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (
+            isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "dataclasses"
+        )
+    )
+    assert importers == []
