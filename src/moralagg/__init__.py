@@ -11,7 +11,6 @@ only parses and ranks never loads them.
 
 from .core import (
     ActionSet,
-    ActionSetMismatch,
     CredenceMassExceeded,
     CredenceOutOfRange,
     CredenceSumNotOne,
@@ -27,7 +26,6 @@ from .core import (
     UnknownTheoryId,
     extend,
     ranking_from_scores,
-    rankings_equal,
     restrict,
     theory_ranking,
     to_rational,

@@ -91,11 +91,6 @@ class CredenceMassExceeded(MoralAggError):
         )
 
 
-class ActionSetMismatch(MoralAggError):
-    def __init__(self) -> None:
-        super().__init__("rankings cover different action sets")
-
-
 class UnknownAction(MoralAggError):
     def __init__(self, action: ActionId):
         self.action = action
@@ -124,19 +119,18 @@ def to_rational(value: RationalLike) -> Fraction:
         token = value.strip()
         if not _RATIONAL_RE.match(token):
             raise ValueError(f"not an exact rational literal: {value!r}")
-        # The gate passed, so the value is built from the text's own parts.
+        # The gate passed, so the value is built from the text's own parts:
+        # the sign, the whole digits and the fraction digits apart, as
+        # Fraction(str) converts them, so int()'s digit limit binds alike.
         num, slash, den = token.partition("/")
         if slash:
             return Fraction(int(num), int(den))
-        whole, dot, frac = token.partition(".")
+        whole, dot, frac = token.lstrip("+-").partition(".")
         if not dot:
             return Fraction(int(token))
-        try:
-            return Fraction(int(whole + frac), 10 ** len(frac))
-        except ValueError:
-            # Past int()'s digit limit once joined; Fraction(str) converts
-            # the two parts apart, so it decides as it always did.
-            return Fraction(token)
+        scale = 10 ** len(frac)
+        value = int(whole or 0) * scale + int(frac or 0)
+        return Fraction(-value if token[0] == "-" else value, scale)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
@@ -353,9 +347,6 @@ class Ranking:
             seen |= group
         object.__setattr__(self, "groups", fixed)
 
-    def action_ids(self) -> frozenset[ActionId]:
-        return frozenset().union(*self.groups)
-
     def maximal_group(self) -> frozenset[ActionId]:
         return self.groups[-1]
 
@@ -504,13 +495,6 @@ def _ranking(actions: Iterable[ActionId], ranks: Sequence[int]) -> Ranking:
     for action, rank in zip(actions, ranks):
         groups[rank].append(action)
     return Ranking(groups)
-
-
-def rankings_equal(left: Ranking, right: Ranking) -> bool:
-    """Exact equality of weak orders over the same action set."""
-    if left.action_ids() != right.action_ids():
-        raise ActionSetMismatch()
-    return left.groups == right.groups
 
 
 def theory_ranking(theory: Theory, actions: ActionSet) -> Ranking:

@@ -351,9 +351,7 @@ def _ladder(credence: Fraction, target: Optional[ActionId]) -> Callable:
         if base.spec.kind is SwfKind.MEC:
             s = max(map(abs, scores))
         else:
-            rows = base.rows.values()
-            weighted = (sum(w * abs(v) for _, w, v in row) for row in rows)
-            s = (1 - credence) * Fraction(max(weighted), base.den * base.scale)
+            s = (1 - credence) * base.spread()
         m = 2 * s + 1
         # Values step, 2*step, ..., n*step along a permutation that puts the
         # target last, so the injected theory alone ranks the target strictly best.
@@ -532,10 +530,10 @@ def probe_kthm_non_fanatical(
     k = _credence_level(k)
 
     def all_trimmed(compiled: _Compiled) -> None:
+        adversary = {t.id for t in compiled.theories[1:]}
         for action in compiled.actions:
             low, high = compiled.shed(action)
-            shed = sum(bit for bit, _, _ in low + high)
-            if (compiled.everyone ^ 1) & ~shed:
+            if adversary - low - high:
                 raise ConstructionFailed(
                     f"adversary theory survived trimming on {action!r}"
                 )
@@ -555,10 +553,9 @@ def probe_hm_non_fanatical(
     """
 
     def majority_dictates(compiled: _Compiled) -> None:
-        medians = compiled.score(compiled.everyone)
-        for action, doubled in zip(compiled.actions, medians):
-            base = next(v for bit, _, v in compiled.rows[action] if bit == 1)
-            if doubled != 2 * base:
+        base = compiled.theories[0]
+        for action, median in zip(compiled.actions, compiled.exact()):
+            if median != base.evaluations[action]:
                 raise ConstructionFailed(
                     f"majority theory failed to dictate the median of {action!r}"
                 )

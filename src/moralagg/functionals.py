@@ -13,8 +13,9 @@ a weak order over the actions (worst group first):
 All scores are exact rationals, so ties are exact ties.  Each rule is
 implemented once, over one integer compile of the framework
 (:class:`_Compiled`).  :func:`aggregate`, the per-action functions and
-the dominance checks and witnesses of :mod:`moralagg.fanaticism` read it;
-all but the dominance checks divide its scaling back out of its scores.
+the dominance checks, witnesses and probes of :mod:`moralagg.fanaticism`
+read it; its integer form stays in this module, and other modules ask it
+for keys, masses, exact scores and theory ids.
 """
 
 from __future__ import annotations
@@ -123,24 +124,33 @@ class SwfSpec:
 class _Compiled:
     """``framework`` over ``actions`` in exact integers, validated once.
 
-    Credences become integer weights, scaled by ``den``, the lcm of their
+    Other modules use only this interface, whose answers are masks,
+    theory ids and exact ``Fraction``s:
+
+    - the mask convention: ``bits[i]`` stands for the ``i``-th declared
+      theory in a subset mask, and ``everyone`` is the mask of them all;
+    - ``key(mask)``, a nonempty subset's ranking as ``core._dense_ranks``
+      gives it, and ``mass(mask)``, which over ``den`` is its credence;
+    - :meth:`exact`, the full framework's scores; :meth:`shed`, the ids
+      the ``kthm`` trim drops; :meth:`spread`, the ``kthm`` ladder's bound;
+    - ``theories``, ``actions`` and ``spec``, as given.
+
+    The rest is the integer form, private to this module.  Credences
+    become integer weights, scaled by ``den``, the lcm of their
     denominators, as :func:`~moralagg.core.validate_framework` returns
     them.  Evaluations become integer values, scaled by ``scale``, one
     lcm common to every action.  Each action keeps one row
-    ``(bit, weight, value)`` per theory, where bit ``1 << i`` stands for
-    the ``i``-th declared theory in a subset mask.  The rows are in
-    declaration order; for ``kthm`` and ``hm``, the rules that read an
-    order, they are sorted ascending by value, ties in declaration order.
+    ``(bit, weight, value)`` per theory, in declaration order; for
+    ``kthm`` and ``hm``, the rules that read an order, sorted ascending
+    by value, ties in declaration order.
 
     ``score(mask)`` scores any nonempty subset of the theories: one
     integer per action, in the order of ``actions`` (a ``Fraction`` for
-    renormalized ``kthm``).  The subset's mass is never divided out, and
-    each rule's ranking is unchanged when every score is scaled by the
-    same positive factor, so these scores rank a subset exactly as
-    :func:`aggregate` ranks its renormalized restriction.  ``key(mask)``
-    is that ranking as ``core._dense_ranks`` gives it, and
-    ``Fraction(mass(mask), den)`` is the subset's credence.  :meth:`exact`
-    divides the scaling back out of the full framework's scores.
+    renormalized ``kthm``, twice the median for ``hm``).  The subset's
+    mass is never divided out, and each rule's ranking is unchanged when
+    every score is scaled by the same positive factor, so ``key(mask)``
+    ranks a subset exactly as :func:`aggregate` ranks its renormalized
+    restriction.  :meth:`exact` divides the scaling back out.
     """
 
     def __init__(
@@ -148,6 +158,7 @@ class _Compiled:
     ):
         self.den, self.weights = validate_framework(framework, actions)
         self.spec = spec
+        self.theories = framework.theories
         self.actions = actions
         self.bits = [1 << i for i in range(len(self.weights))]
         self.everyone = (1 << len(self.weights)) - 1
@@ -223,11 +234,20 @@ class _Compiled:
         hi = len(kept) - _trim_count(reversed(kept), k_den, limit)
         return kept, lo, hi
 
-    def shed(self, action: ActionId) -> tuple[list, list]:
-        """The rows the ``kthm`` trim drops from ``action``: low side, high side."""
+    def shed(self, action: ActionId) -> tuple[frozenset, frozenset]:
+        """The ids the ``kthm`` trim drops from ``action``: low side, high side."""
         limit = self.spec.k.numerator * self.den
         kept, lo, hi = self.trim(self.rows[action], self.everyone, limit)
-        return kept[:lo], kept[hi:]
+        ids = [t.id for t in _theories(self.theories, kept)]
+        return frozenset(ids[:lo]), frozenset(ids[hi:])
+
+    def spread(self) -> Fraction:
+        """The largest credence-weighted sum of absolute evaluations of an action."""
+        rows = self.rows.values()
+        return Fraction(
+            max(sum(w * abs(v) for _, w, v in row) for row in rows),
+            self.den * self.scale,
+        )
 
     def exact(self) -> list[Fraction]:
         """The full framework's scores with the scaling divided out, as printed."""
@@ -279,9 +299,9 @@ def _view(spec: SwfSpec, framework: EthicalFramework, action: ActionId) -> _Comp
     return _Compiled(spec, framework, (action,))
 
 
-def _theories(framework: EthicalFramework, rows: list) -> list[Theory]:
-    """The theories behind compiled ``rows``, in row order."""
-    return [framework.theories[bit.bit_length() - 1] for bit, _, _ in rows]
+def _theories(theories: Sequence[Theory], rows: list) -> list[Theory]:
+    """The ``theories`` behind compiled ``rows``, in row order."""
+    return [theories[bit.bit_length() - 1] for bit, _, _ in rows]
 
 
 def wam(framework: EthicalFramework, action: ActionId) -> Fraction:
@@ -310,7 +330,8 @@ def sorted_evaluations(
     order that ``kthm`` and ``hm`` read.
     """
     rows = _view(SwfSpec.hm(), framework, action).rows[action]
-    return tuple((t.id, t.evaluations[action]) for t in _theories(framework, rows))
+    theories = _theories(framework.theories, rows)
+    return tuple((t.id, t.evaluations[action]) for t in theories)
 
 
 def bottom_k(
@@ -320,8 +341,7 @@ def bottom_k(
 
     A ``k`` outside ``[0, 1/2)`` raises :class:`InvalidSpec`.
     """
-    low, _ = _view(SwfSpec.kthm(k), framework, action).shed(action)
-    return frozenset(t.id for t in _theories(framework, low))
+    return _view(SwfSpec.kthm(k), framework, action).shed(action)[0]
 
 
 def top_k(
@@ -331,8 +351,7 @@ def top_k(
 
     A ``k`` outside ``[0, 1/2)`` raises :class:`InvalidSpec`.
     """
-    _, high = _view(SwfSpec.kthm(k), framework, action).shed(action)
-    return frozenset(t.id for t in _theories(framework, high))
+    return _view(SwfSpec.kthm(k), framework, action).shed(action)[1]
 
 
 def trimmed_wam(

@@ -312,6 +312,32 @@ class TestProbes:
         assert probe_kthm_non_fanatical("1/10", [(ft, "1/20")])
         assert sorted_actions == ["a", "b"]
 
+    def test_trimmed_mean_probe_fails_when_an_adversary_survives(self, monkeypatch):
+        monkeypatch.setattr(
+            functionals._Compiled,
+            "shed",
+            lambda compiled, action: (frozenset(), frozenset()),
+        )
+        ft = Theory("ft", {"a": -(10**9), "b": 10**9})
+        with pytest.raises(ConstructionFailed) as failed:
+            probe_kthm_non_fanatical("1/10", [(ft, "1/20")])
+        assert str(failed.value) == "adversary theory survived trimming on 'a'"
+
+    def test_median_probe_fails_when_the_majority_loses_a_median(self, monkeypatch):
+        original = functionals._Compiled.exact
+
+        def moved(compiled):
+            medians = original(compiled)
+            return medians[:-1] + [medians[-1] + 1]
+
+        monkeypatch.setattr(functionals._Compiled, "exact", moved)
+        ft = Theory("ft", {"a": -(10**9), "b": 10**9})
+        with pytest.raises(ConstructionFailed) as failed:
+            probe_hm_non_fanatical("1/10", [(ft, "1/20")])
+        assert (
+            str(failed.value) == "majority theory failed to dictate the median of 'b'"
+        )
+
     def test_empty_adversary_is_vacuous(self):
         assert probe_kthm_non_fanatical("1/10", [])
         assert probe_hm_non_fanatical("1/10", [])

@@ -20,7 +20,6 @@ from moralagg import (
     aggregate,
     bottom_k,
     min_evaluation,
-    rankings_equal,
     sorted_evaluations,
     theory_ranking,
     top_k,
@@ -400,7 +399,7 @@ def test_positive_scaling_preserves_every_ranking(fw_actions, data):
     for spec in ALL_SPECS:
         before = aggregate(spec, framework, actions).ranking
         after = aggregate(spec, scaled, actions).ranking
-        assert rankings_equal(before, after)
+        assert before == after
 
 
 @given(strategies.frameworks(), strategies.trim_levels)

@@ -13,6 +13,10 @@
   import neither ``aggregate`` nor ``AggregateResult``, and nothing in
   ``src/moralagg`` calls ``is_dominant_subset``, which stays a public,
   traced entry point.
+- The integer compile's form belongs to ``functionals``: no other module
+  in ``src/moralagg`` takes the attribute ``rows``, ``scale``, ``score``,
+  ``trim`` or ``weights``.  They ask ``_Compiled`` for keys, masses,
+  exact scores and theory ids instead.
 """
 
 import ast
@@ -120,3 +124,15 @@ def test_no_module_imports_dataclasses():
         )
     )
     assert importers == []
+
+
+def test_only_functionals_reads_the_integer_form():
+    private = {"rows", "scale", "score", "trim", "weights"}
+    readers = sorted(
+        f"{path.name}:{node.attr}"
+        for path in SOURCE.glob("*.py")
+        if path.name != "functionals.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    )
+    assert readers == []
