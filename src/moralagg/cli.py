@@ -236,6 +236,8 @@ def _cmd_compare(args) -> int:
 def _cmd_dominant(args) -> int:
     from .fanaticism import enumerate_dominant_subsets
 
+    if args.max_theories < 1:
+        raise _UsageError("--max-theories must be >= 1")
     document = _load(args.scenario)
     spec = _spec_from_flags(args, document)
     found = enumerate_dominant_subsets(

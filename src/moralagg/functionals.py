@@ -145,12 +145,17 @@ class _Compiled:
     by value, ties in declaration order.
 
     ``score(mask)`` scores any nonempty subset of the theories: one
-    integer per action, in the order of ``actions`` (a ``Fraction`` for
-    renormalized ``kthm``, twice the median for ``hm``).  The subset's
-    mass is never divided out, and each rule's ranking is unchanged when
-    every score is scaled by the same positive factor, so ``key(mask)``
-    ranks a subset exactly as :func:`aggregate` ranks its renormalized
-    restriction.  :meth:`exact` divides the scaling back out.
+    integer per action, in the order of ``actions`` (twice the median for
+    ``hm``).  The subset's mass is never divided out, and each rule's
+    ranking is unchanged when every score is scaled by the same positive
+    factor, so ``key(mask)`` ranks a subset exactly as :func:`aggregate`
+    ranks its renormalized restriction.  Renormalized ``kthm`` divides
+    each action's survivor sum ``t`` by its own survivor mass ``m``, so
+    no one factor clears those denominators; it scores ``t * (L // m)``
+    with ``L`` the lcm of every action's ``m``.  That is each mean
+    ``t / m`` times the same positive ``L``, so the scores group and
+    order exactly as the means do.  :meth:`exact` divides the scaling
+    back out.
     """
 
     def __init__(
@@ -209,36 +214,58 @@ class _Compiled:
         )
 
     def _kthm(self, mask: int) -> tuple:
-        limit = self.spec.k.numerator * self.mass(mask)
-        renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
-        scores = []
+        survivors = self._survivors(mask)
+        if self.spec.trim_mode is TrimMode.LITERAL:
+            return tuple(total for total, _ in survivors)
+        common = lcm(*(kept for _, kept in survivors))
+        return tuple(total * (common // kept) for total, kept in survivors)
+
+    def _survivors(self, mask: int) -> list[tuple[int, int]]:
+        """Each action's ``kthm`` survivors in ``mask``: their weighted sum and mass."""
+        mass = self.mass(mask)
+        k = self.spec.k
+        cap = k.numerator * mass // k.denominator
+        survivors = []
         for rows in self.rows.values():
-            kept, lo, hi = self.trim(rows, mask, limit)
-            total = sum(w * v for _, w, v in kept[lo:hi])
-            if renormalized:
-                total = Fraction(total, sum(w for _, w, _ in kept[lo:hi]))
-            scores.append(total)
-        return tuple(scores)
+            lo, hi, trimmed = self.trim(rows, mask, cap)
+            total = sum(w * v for bit, w, v in rows[lo:hi] if mask & bit)
+            survivors.append((total, mass - trimmed))
+        return survivors
 
-    def trim(self, rows: list, mask: int, limit: int) -> tuple[list, int, int]:
-        """The rows of ``mask``, with the bounds of their ``kthm`` trim.
+    def trim(self, rows: list, mask: int, cap: int) -> tuple[int, int, int]:
+        """The ``kthm`` trim of the sorted ``rows`` in ``mask``, in one scan.
 
-        ``kept[:lo]`` is the maximal low prefix, and ``kept[hi:]`` the
-        maximal high suffix, of weight ``p`` with ``p / M <= k`` for the
-        mask's mass ``M``: ``p * den(k) <= num(k) * M``, which is
-        ``limit``.  ``kept[lo:hi]`` survives.
+        The masked rows of ``rows[:lo]`` are the maximal low prefix, and
+        those of ``rows[hi:]`` the maximal high suffix, of weight ``p``
+        with ``p / M <= k`` for the mask's mass ``M``: ``p <= cap`` with
+        ``cap = num(k) * M // den(k)``.  The masked rows of
+        ``rows[lo:hi]`` survive; ``trimmed`` is the weight of both sides.
+        Each side weighs at most ``k < 1/2`` of ``M``, so the survivors'
+        mass ``M - trimmed`` is positive.
         """
-        kept = [row for row in rows if mask & row[0]]
-        k_den = self.spec.k.denominator
-        lo = _trim_count(kept, k_den, limit)
-        hi = len(kept) - _trim_count(reversed(kept), k_den, limit)
-        return kept, lo, hi
+        lo = low = 0
+        for bit, w, _ in rows:
+            if mask & bit:
+                if low + w > cap:
+                    break
+                low += w
+            lo += 1
+        hi, high = len(rows), 0
+        for bit, w, _ in reversed(rows):
+            if mask & bit:
+                if high + w > cap:
+                    break
+                high += w
+            hi -= 1
+        return lo, hi, low + high
 
     def shed(self, action: ActionId) -> tuple[frozenset, frozenset]:
         """The ids the ``kthm`` trim drops from ``action``: low side, high side."""
-        limit = self.spec.k.numerator * self.den
-        kept, lo, hi = self.trim(self.rows[action], self.everyone, limit)
-        ids = [t.id for t in _theories(self.theories, kept)]
+        k = self.spec.k
+        rows = self.rows[action]
+        cap = k.numerator * self.den // k.denominator
+        lo, hi, _ = self.trim(rows, self.everyone, cap)
+        ids = [t.id for t in _theories(self.theories, rows)]
         return frozenset(ids[:lo]), frozenset(ids[hi:])
 
     def spread(self) -> Fraction:
@@ -252,24 +279,19 @@ class _Compiled:
     def exact(self) -> list[Fraction]:
         """The full framework's scores with the scaling divided out, as printed."""
         spec = self.spec
+        if spec.kind is SwfKind.KTHM:
+            renormalized = spec.trim_mode is TrimMode.RENORMALIZED
+            return [
+                Fraction(total, (kept if renormalized else self.den) * self.scale)
+                for total, kept in self._survivors(self.everyone)
+            ]
         if spec.kind is SwfKind.HM:
             divisor = 2 * self.scale
-        elif spec.kind is SwfKind.MAXIMIN or spec.trim_mode is TrimMode.RENORMALIZED:
+        elif spec.kind is SwfKind.MAXIMIN:
             divisor = self.scale
         else:
             divisor = self.den * self.scale
         return [Fraction(s, divisor) for s in self.score(self.everyone)]
-
-
-def _trim_count(kept, k_den: int, limit: int) -> int:
-    """How many leading ``(bit, weight, value)`` rows a ``kthm`` trim sheds."""
-    count = prefix = 0
-    for _, w, _ in kept:
-        prefix += w
-        if prefix * k_den > limit:
-            break
-        count += 1
-    return count
 
 
 def _doubled_median(rows: list, mask: int, mass: int) -> int:

@@ -219,6 +219,14 @@ class TestDominant:
         assert main(["dominant", FROBO, "--swf", "mec", "--max-theories", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_a_usage_error(self, capsys, cap):
+        argv = ["dominant", FROBO, "--swf", "mec", "--max-theories", cap]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --max-theories must be >= 1\n"
+
 
 class TestWitness:
     def test_mec_textbook_output(self, base_scenario, capsys):
