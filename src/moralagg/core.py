@@ -430,8 +430,9 @@ def extend(
     """Extend ``framework`` with new theories at the given credences.
 
     The new theories keep exactly the credences supplied; the old
-    credences are scaled by ``(1 - new_mass) / old_mass`` so the result
-    sums to 1 again.  Extending by nothing returns an equal framework.
+    credences, which must sum to 1, are scaled by ``1 - new_mass`` so the
+    result sums to 1 again.  Extending by nothing returns an equal
+    framework.
 
     Raises
     ------
@@ -443,6 +444,8 @@ def extend(
         because the old theories would be left with zero credence.
     CredenceMassExceeded
         The new credences total 1 or more.
+    CredenceSumNotOne
+        The old credences do not sum to 1.
     """
     existing = set(framework.theory_ids())
     new_ids: set[TheoryId] = set()
@@ -459,7 +462,9 @@ def extend(
     if fixed and new_mass >= 1:
         raise CredenceMassExceeded(new_mass)
     old_mass = sum(framework.credences.values(), Fraction(0))
-    scale = (1 - new_mass) / old_mass
+    if old_mass != 1:
+        raise CredenceSumNotOne(old_mass)
+    scale = 1 - new_mass
     theories = list(framework.theories) + [t for t, _ in fixed]
     credences = {t.id: framework.credences[t.id] * scale for t in framework.theories}
     credences.update({t.id: c for t, c in fixed})

@@ -483,26 +483,33 @@ def _probe(
     spec: SwfSpec,
     k: Fraction,
     adversary: Sequence[tuple[Theory, RationalLike]],
-    structural_check: Callable[[_Compiled], None],
 ) -> bool:
     """Extend the canonical family by ``adversary`` and test its dominance.
 
     The extended framework is compiled once under ``spec``; the base
-    theory is its bit 1 and the adversary the bits above.
-    ``structural_check(compiled)`` raises :class:`ConstructionFailed`
-    when the reason the rule resists fails on some action.  The full
-    ranking, read from the dominance verdict on the same compile, must
-    also stay ``b ≺ a``.
+    theory is its bit 1 and the adversary the bits above.  Both rules
+    resist for one reason: the base theory's credence exceeds
+    ``1/2 > k``, so the trim (at ``k`` for ``kthm``, at one half for
+    ``hm``) sheds every adversary theory on every action.  That is
+    re-checked on the compile, and :class:`ConstructionFailed` is raised
+    when an adversary theory survives.  The full ranking, read from the
+    dominance verdict on the same compile, must also stay ``b ≺ a``.
     """
     fixed = [(t, to_rational(c)) for t, c in adversary]
     mass = sum((c for _, c in fixed), Fraction(0))
     if mass > k:
         raise CredenceTooHigh(mass, k)
-    base, actions = canonical_family([t.id for t, _ in fixed])
-    compiled = _Compiled(spec, extend(base, fixed), actions)
-    structural_check(compiled)
     if not fixed:
         return True
+    ids = {t.id for t, _ in fixed}
+    base, actions = canonical_family(ids)
+    compiled = _Compiled(spec, extend(base, fixed), actions)
+    for action in actions:
+        low, high = compiled.shed(action)
+        if ids - low - high:
+            raise ConstructionFailed(
+                f"adversary theory survived trimming on {action!r}"
+            )
     verdict = _verdict(compiled, compiled.everyone ^ 1)
     if verdict.full_ranking != Ranking([{"b"}, {"a"}]):
         raise ConstructionFailed(
@@ -528,17 +535,7 @@ def probe_kthm_non_fanatical(
     :class:`ConstructionFailed` if violated.
     """
     k = _credence_level(k)
-
-    def all_trimmed(compiled: _Compiled) -> None:
-        adversary = {t.id for t in compiled.theories[1:]}
-        for action in compiled.actions:
-            low, high = compiled.shed(action)
-            if adversary - low - high:
-                raise ConstructionFailed(
-                    f"adversary theory survived trimming on {action!r}"
-                )
-
-    return _probe(SwfSpec.kthm(k, TrimMode.LITERAL), k, adversary, all_trimmed)
+    return _probe(SwfSpec.kthm(k, TrimMode.LITERAL), k, adversary)
 
 
 def probe_hm_non_fanatical(
@@ -547,17 +544,12 @@ def probe_hm_non_fanatical(
 ) -> bool:
     """Throw an adversary of credence mass <= k at the weighted median.
 
-    The base theory keeps credence above 1/2 after extension, so it
-    dictates the weighted median of every action and the ranking cannot
-    move.  Returns True iff the adversary is *not* a dominant subset.
+    The weighted median is what the trim at one half leaves.  The base
+    theory keeps credence above 1/2 after extension, so that trim sheds
+    every adversary theory on both sides of it, the base theory dictates
+    every median and the ranking cannot move.  Returns True iff the
+    adversary is *not* a dominant subset.  The same structural claims as
+    for the trimmed mean are re-checked and raise
+    :class:`ConstructionFailed` if violated.
     """
-
-    def majority_dictates(compiled: _Compiled) -> None:
-        base = compiled.theories[0]
-        for action, median in zip(compiled.actions, compiled.exact()):
-            if median != base.evaluations[action]:
-                raise ConstructionFailed(
-                    f"majority theory failed to dictate the median of {action!r}"
-                )
-
-    return _probe(SwfSpec.hm(), _credence_level(k), adversary, majority_dictates)
+    return _probe(SwfSpec.hm(), _credence_level(k), adversary)

@@ -8,14 +8,16 @@ a weak order over the actions (worst group first):
 - ``kthm``: the credence-weighted mean after discarding, per action, a
   maximal prefix and suffix of the evaluation-sorted theories whose
   credence mass does not exceed ``k`` on each side,
-- ``hm``: the credence-weighted median of the evaluations.
+- ``hm``: the credence-weighted median of the evaluations, which is
+  where the ``kthm`` trim stops when each side may shed up to one half.
 
 All scores are exact rationals, so ties are exact ties.  Each rule is
 implemented once, over one integer compile of the framework
-(:class:`_Compiled`).  :func:`aggregate`, the per-action functions and
-the dominance checks, witnesses and probes of :mod:`moralagg.fanaticism`
-read it; its integer form stays in this module, and other modules ask it
-for keys, masses, exact scores and theory ids.
+(:class:`_Compiled`), where ``kthm`` and ``hm`` share one trim scan.
+:func:`aggregate`, the per-action functions and the dominance checks,
+witnesses and probes of :mod:`moralagg.fanaticism` read it; its integer
+form stays in this module, and other modules ask it for keys, masses,
+exact scores and trimmed theory ids.
 """
 
 from __future__ import annotations
@@ -132,8 +134,8 @@ class _Compiled:
     - ``key(mask)``, a nonempty subset's ranking as ``core._dense_ranks``
       gives it, and ``mass(mask)``, which over ``den`` is its credence;
     - :meth:`exact`, the full framework's scores; :meth:`shed`, the ids
-      the ``kthm`` trim drops; :meth:`spread`, the ``kthm`` ladder's bound;
-    - ``theories``, ``actions`` and ``spec``, as given.
+      the trim drops; :meth:`spread`, the ``kthm`` ladder's bound;
+    - ``actions`` and ``spec``, as given.
 
     The rest is the integer form, private to this module.  Credences
     become integer weights, scaled by ``den``, the lcm of their
@@ -142,7 +144,9 @@ class _Compiled:
     lcm common to every action.  Each action keeps one row
     ``(bit, weight, value)`` per theory, in declaration order; for
     ``kthm`` and ``hm``, the rules that read an order, sorted ascending
-    by value, ties in declaration order.
+    by value, ties in declaration order.  Both read it through one scan,
+    :meth:`trim`: ``hm`` is the trim at one half, and its median is
+    where that trim stops (:meth:`_hm`).
 
     ``score(mask)`` scores any nonempty subset of the theories: one
     integer per action, in the order of ``actions`` (twice the median for
@@ -208,10 +212,21 @@ class _Compiled:
         )
 
     def _hm(self, mask: int) -> tuple:
-        mass = self.mass(mask)
-        return tuple(
-            _doubled_median(rows, mask, mass) for rows in self.rows.values()
-        )
+        """Twice each action's weighted median: the two rows the half-trim stops at.
+
+        Every weight is positive, so ``rows[lo]`` is the first masked row
+        whose prefix weight exceeds ``M/2``, and ``rows[hi - 1]`` the last
+        masked row whose suffix weight does.  These are one row, the
+        median, unless the prefix weight is exactly ``M/2`` at some row;
+        then they are that row and the next masked one, the two valid
+        entries whose values are averaged.  Doubling keeps it an integer.
+        """
+        cap = self._cap(self.mass(mask))
+        scores = []
+        for rows in self.rows.values():
+            lo, hi, _ = self.trim(rows, mask, cap)
+            scores.append(rows[lo][2] + rows[hi - 1][2])
+        return tuple(scores)
 
     def _kthm(self, mask: int) -> tuple:
         survivors = self._survivors(mask)
@@ -223,8 +238,7 @@ class _Compiled:
     def _survivors(self, mask: int) -> list[tuple[int, int]]:
         """Each action's ``kthm`` survivors in ``mask``: their weighted sum and mass."""
         mass = self.mass(mask)
-        k = self.spec.k
-        cap = k.numerator * mass // k.denominator
+        cap = self._cap(mass)
         survivors = []
         for rows in self.rows.values():
             lo, hi, trimmed = self.trim(rows, mask, cap)
@@ -232,16 +246,26 @@ class _Compiled:
             survivors.append((total, mass - trimmed))
         return survivors
 
+    def _cap(self, mass: int) -> int:
+        """The most weight :meth:`trim` drops per side of a mask of ``mass``.
+
+        That is ``num(k) * mass // den(k)``: the ``kthm`` level ``k``, or
+        one half for ``hm``, whose median is what the half-trim leaves.
+        """
+        k = HALF if self.spec.kind is SwfKind.HM else self.spec.k
+        return k.numerator * mass // k.denominator
+
     def trim(self, rows: list, mask: int, cap: int) -> tuple[int, int, int]:
-        """The ``kthm`` trim of the sorted ``rows`` in ``mask``, in one scan.
+        """The trim of the sorted ``rows`` in ``mask`` at ``cap``, in one scan.
 
         The masked rows of ``rows[:lo]`` are the maximal low prefix, and
         those of ``rows[hi:]`` the maximal high suffix, of weight ``p``
         with ``p / M <= k`` for the mask's mass ``M``: ``p <= cap`` with
-        ``cap = num(k) * M // den(k)``.  The masked rows of
-        ``rows[lo:hi]`` survive; ``trimmed`` is the weight of both sides.
-        Each side weighs at most ``k < 1/2`` of ``M``, so the survivors'
-        mass ``M - trimmed`` is positive.
+        ``cap`` from :meth:`_cap`.  The masked rows of ``rows[lo:hi]``
+        survive; ``trimmed`` is the weight of both sides.  Under ``kthm``
+        each side weighs at most ``k < 1/2`` of ``M``, so the survivors'
+        mass ``M - trimmed`` is positive; under ``hm`` (``k = 1/2``)
+        ``rows[lo]`` and ``rows[hi - 1]`` are the median rows.
         """
         lo = low = 0
         for bit, w, _ in rows:
@@ -260,11 +284,9 @@ class _Compiled:
         return lo, hi, low + high
 
     def shed(self, action: ActionId) -> tuple[frozenset, frozenset]:
-        """The ids the ``kthm`` trim drops from ``action``: low side, high side."""
-        k = self.spec.k
+        """The ids the trim drops from ``action``: low side, high side."""
         rows = self.rows[action]
-        cap = k.numerator * self.den // k.denominator
-        lo, hi, _ = self.trim(rows, self.everyone, cap)
+        lo, hi, _ = self.trim(rows, self.everyone, self._cap(self.den))
         ids = [t.id for t in _theories(self.theories, rows)]
         return frozenset(ids[:lo]), frozenset(ids[hi:])
 
@@ -292,26 +314,6 @@ class _Compiled:
         else:
             divisor = self.den * self.scale
         return [Fraction(s, divisor) for s in self.score(self.everyone)]
-
-
-def _doubled_median(rows: list, mask: int, mass: int) -> int:
-    """Twice the weighted median of the masked part of the sorted ``rows``.
-
-    An entry is valid when the mass strictly before it and strictly
-    after it are both at most half: ``2*before <= mass <= 2*prefix``.
-    The first entry with ``2*prefix >= mass`` is valid; when ``2*prefix
-    == mass`` exactly, the next masked entry is valid too and the two
-    values are averaged.  Doubling keeps the score an integer.
-    """
-    kept = ((w, v) for bit, w, v in rows if mask & bit)
-    prefix = 0
-    for w, v in kept:
-        prefix += w
-        if 2 * prefix > mass:
-            return 2 * v
-        if 2 * prefix == mass:
-            return v + next(kept)[1]
-    raise AssertionError("a nonempty mask has a median")
 
 
 def _view(spec: SwfSpec, framework: EthicalFramework, action: ActionId) -> _Compiled:

@@ -562,6 +562,20 @@ class TestExtend:
         framework, _ = frobo()
         assert extend(framework, []) == framework
 
+    @pytest.mark.parametrize(
+        "credences", [("1/4", "1/4"), ("1/2", "-1/2")], ids=["half", "zero"]
+    )
+    def test_old_credences_must_sum_to_one(self, credences):
+        # Rescaling would hide the defect (1/4 + 1/4 came back as 1/2 +
+        # 1/2) or divide by zero (1/2 - 1/2).
+        base = EthicalFramework(
+            [Theory("t1", {"a": 0}), Theory("t2", {"a": 1})],
+            dict(zip(("t1", "t2"), credences)),
+        )
+        with pytest.raises(CredenceSumNotOne) as raised:
+            extend(base, [])
+        assert raised.value.total == sum(map(F, credences))
+
     def test_new_credence_must_be_strictly_inside_unit_interval(self):
         base = EthicalFramework([Theory("t1", {"a": 0})], {"t1": 1})
         for bad in (0, 1, "5/4", -1):

@@ -312,7 +312,12 @@ class TestProbes:
         assert probe_kthm_non_fanatical("1/10", [(ft, "1/20")])
         assert sorted_actions == ["a", "b"]
 
-    def test_trimmed_mean_probe_fails_when_an_adversary_survives(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "probe", [probe_kthm_non_fanatical, probe_hm_non_fanatical]
+    )
+    def test_probe_fails_when_an_adversary_survives(self, monkeypatch, probe):
+        # Both rules resist because the trim sheds every adversary theory;
+        # a trim that sheds nothing must be reported, not trusted.
         monkeypatch.setattr(
             functionals._Compiled,
             "shed",
@@ -320,23 +325,8 @@ class TestProbes:
         )
         ft = Theory("ft", {"a": -(10**9), "b": 10**9})
         with pytest.raises(ConstructionFailed) as failed:
-            probe_kthm_non_fanatical("1/10", [(ft, "1/20")])
+            probe("1/10", [(ft, "1/20")])
         assert str(failed.value) == "adversary theory survived trimming on 'a'"
-
-    def test_median_probe_fails_when_the_majority_loses_a_median(self, monkeypatch):
-        original = functionals._Compiled.exact
-
-        def moved(compiled):
-            medians = original(compiled)
-            return medians[:-1] + [medians[-1] + 1]
-
-        monkeypatch.setattr(functionals._Compiled, "exact", moved)
-        ft = Theory("ft", {"a": -(10**9), "b": 10**9})
-        with pytest.raises(ConstructionFailed) as failed:
-            probe_hm_non_fanatical("1/10", [(ft, "1/20")])
-        assert (
-            str(failed.value) == "majority theory failed to dictate the median of 'b'"
-        )
 
     def test_empty_adversary_is_vacuous(self):
         assert probe_kthm_non_fanatical("1/10", [])
@@ -428,6 +418,25 @@ def test_no_sub_majority_subset_dominates_the_median():
                 subset = rng.sample(others, size)
                 verdict = is_dominant_subset(spec, framework, actions, subset)
                 assert not verdict.is_dominant
+
+
+def test_median_keys_take_one_trim_scan_per_action(monkeypatch):
+    # The median is the trim at one half: keying a mask under ``hm`` runs
+    # the one trim scan that ``kthm`` runs, once per action.
+    calls = []
+    original = functionals._Compiled.trim
+
+    def counting(compiled, rows, mask, cap):
+        calls.append(mask)
+        return original(compiled, rows, mask, cap)
+
+    monkeypatch.setattr(functionals._Compiled, "trim", counting)
+    framework, actions = random_framework(random.Random(5), (6, 6))
+    compiled = functionals._Compiled(SwfSpec.hm(), framework, actions)
+    for mask in (1, 0b101101, compiled.everyone):
+        calls.clear()
+        compiled.key(mask)
+        assert calls == [mask] * len(actions)
 
 
 def test_random_probe_storm():
