@@ -16,8 +16,12 @@ keys it by the dense ranks of one integer score per action.  Every
 ranking here and in :func:`aggregate` comes from one grouping rule, in
 :mod:`moralagg.core`.  Enumeration visits each subset together with its
 complement, keys every mask once, and compares the two keys with each
-other and with the full framework's; ``Ranking`` objects are built only
-for the subsets it reports.
+other and with the full framework's.  It keys from the compile's split
+subset tables, sums over each half of the theory bits that answer a
+mask in a few lookups from ``O(2^(n/2))`` entries per action; a single
+check keys its three masks by scanning the rows.  ``Ranking`` objects
+are built only for the subsets it reports, one per distinct ranking of
+their complements.
 
 A functional is *fanatical* at credence level k when every framework can
 be captured this way by newly added theories of total credence at most k.
@@ -208,13 +212,17 @@ def enumerate_dominant_subsets(
     is validated and compiled once.  Each subset and its complement are
     then visited together, once: the compile keys both masks by the
     dense rank of each action's score, so two subsets rank alike exactly
-    when their keys are equal.  A side is reported when its key equals
-    the full framework's and differs from the other side's, with the
-    verdict :func:`is_dominant_subset` would give and its credence from
-    the compile's integer weights.  No per-subset table is kept.  Results
-    are ordered by subset size, then lexicographically by ids.  A valid
-    framework of fewer than two theories has no nonempty proper subset
-    and gives ``[]``.
+    when their keys are equal.  Keys and masses come from the compile's
+    split subset tables, built once per call: sums over the low and the
+    high half of the theory bits, about ``2^(n/2)`` entries each, so
+    memory stays ``O(actions * 2^(n/2))``, not ``O(2^n)``, and nothing
+    outlives the call but the results.  A side is reported when its key
+    equals the full framework's and differs from the other side's, with
+    the verdict :func:`is_dominant_subset` would give, one verdict shared
+    by every side whose complement ranks alike, and its credence from
+    the compile's integer weights.  Results are ordered by subset size,
+    then lexicographically by ids.  A valid framework of fewer than two
+    theories has no nonempty proper subset and gives ``[]``.
     """
     n = len(framework.theories)
     if n > max_theories:
@@ -222,15 +230,17 @@ def enumerate_dominant_subsets(
     compiled = _Compiled(spec, framework, actions)
     if n < 2:
         return []
+    key, mass = compiled.tables()
     everyone = compiled.everyone
-    full_key = compiled.key(everyone)
+    full_key = key(everyone)
     full = _ranking(actions, full_key)
     bits = list(zip(framework.theory_ids(), compiled.bits))
+    verdicts: dict[tuple[int, ...], DominanceVerdict] = {}
     found: list[tuple[tuple[int, list[TheoryId]], DominantSubset]] = []
     # Masks without the top bit meet every {subset, complement} pair once.
     for mask in range(1, 1 << (n - 1)):
-        mask_key = compiled.key(mask)
-        other_key = compiled.key(everyone ^ mask)
+        mask_key = key(mask)
+        other_key = key(everyone ^ mask)
         if mask_key == other_key:
             continue
         if mask_key == full_key:
@@ -239,9 +249,12 @@ def enumerate_dominant_subsets(
             members, rest = everyone ^ mask, mask_key
         else:
             continue
+        verdict = verdicts.get(rest)
+        if verdict is None:
+            verdict = DominanceVerdict(True, full, full, _ranking(actions, rest))
+            verdicts[rest] = verdict
         combo = sorted(tid for tid, bit in bits if members & bit)
-        verdict = DominanceVerdict(True, full, full, _ranking(actions, rest))
-        credence = Fraction(compiled.mass(members), compiled.den)
+        credence = Fraction(mass(members), compiled.den)
         subset = DominantSubset(frozenset(combo), credence, verdict)
         found.append(((len(combo), combo), subset))
     found.sort(key=lambda entry: entry[0])

@@ -13,7 +13,9 @@ a weak order over the actions (worst group first):
 
 All scores are exact rationals, so ties are exact ties.  Each rule is
 implemented once, over one integer compile of the framework
-(:class:`_Compiled`), where ``kthm`` and ``hm`` share one trim scan.
+(:class:`_Compiled`), where ``kthm`` and ``hm`` share one trim scan;
+for dominance enumeration, which keys every subset, the compile also
+reads each rule from split subset tables.
 :func:`aggregate`, the per-action functions and the dominance checks,
 witnesses and probes of :mod:`moralagg.fanaticism` read it; its integer
 form stays in this module, and other modules ask it for keys, masses,
@@ -26,7 +28,7 @@ import enum
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import (
     ActionId,
@@ -133,6 +135,8 @@ class _Compiled:
       theory in a subset mask, and ``everyone`` is the mask of them all;
     - ``key(mask)``, a nonempty subset's ranking as ``core._dense_ranks``
       gives it, and ``mass(mask)``, which over ``den`` is its credence;
+    - :meth:`tables`, the same ``key`` and ``mass`` read from split
+      subset tables, for a caller that keys every mask;
     - :meth:`exact`, the full framework's scores; :meth:`shed`, the ids
       the trim drops; :meth:`spread`, the ``kthm`` ladder's bound;
     - ``actions`` and ``spec``, as given.
@@ -160,6 +164,13 @@ class _Compiled:
     ``t / m`` times the same positive ``L``, so the scores group and
     order exactly as the means do.  :meth:`exact` divides the scaling
     back out.
+
+    ``key`` and ``mass`` scan every row of a mask, which suits the one
+    to three masks that :func:`aggregate`, a dominance check or a
+    witness keys, at any number of theories.  :meth:`tables` spends
+    ``O(actions * 2^(n/2))`` memory on ``n`` theories to key each mask
+    by a few lookups instead, and only enumeration, which keys all
+    ``2^n``, builds them.
     """
 
     def __init__(
@@ -228,12 +239,15 @@ class _Compiled:
             scores.append(rows[lo][2] + rows[hi - 1][2])
         return tuple(scores)
 
-    def _kthm(self, mask: int) -> tuple:
-        survivors = self._survivors(mask)
+    def _kthm(self, mask: int) -> list:
+        return self._means(self._survivors(mask))
+
+    def _means(self, survivors: list[tuple[int, int]]) -> list[int]:
+        """``kthm``'s scores from each action's survivor sum and mass."""
         if self.spec.trim_mode is TrimMode.LITERAL:
-            return tuple(total for total, _ in survivors)
-        common = lcm(*(kept for _, kept in survivors))
-        return tuple(total * (common // kept) for total, kept in survivors)
+            return [total for total, _ in survivors]
+        common = lcm(*[kept for _, kept in survivors])
+        return [total * (common // kept) for total, kept in survivors]
 
     def _survivors(self, mask: int) -> list[tuple[int, int]]:
         """Each action's ``kthm`` survivors in ``mask``: their weighted sum and mass."""
@@ -283,6 +297,135 @@ class _Compiled:
             hi -= 1
         return lo, hi, low + high
 
+    def tables(self) -> tuple[Callable[[int], tuple], Callable[[int], int]]:
+        """:meth:`key` and :meth:`mass` again, read from split subset tables.
+
+        This is for a caller that keys every mask, as
+        :func:`~moralagg.fanaticism.enumerate_dominant_subsets` does; the
+        tables live as long as the two functions returned.  The ``n``
+        theory bits split into the ``h = n // 2`` low ones and the rest.
+        A table over one half holds a sum for every mask of that half
+        (:func:`_subset_sums`), so a mask's sum is two lookups,
+        ``lo[mask & low] + hi[mask >> h]``, from ``2^h + 2^(n - h)``
+        entries, not ``2^n``.  Summing the weights gives ``mass``.  Per
+        action:
+
+        - ``mec`` sums each theory's ``weight * value``;
+        - the other rules sum ``1 << j`` for the theory at place ``j`` of
+          the action's value order, ties declared as :meth:`_sort` keeps
+          them.  The lookups give ``p``, the mask re-indexed into that
+          order, and its set bits are the masked rows of :meth:`trim`.
+          ``maximin`` scores the value at ``p``'s lowest bit.  ``kthm``
+          clears the bits :meth:`trim` would shed, from both ends, and
+          sums the survivors' ``weight * value`` from tables over places:
+          two lookups on what is left of ``p``.  ``hm`` walks from the low
+          end only, to the first row past the half cap; at an exact half
+          the row before it is the second median row, as :meth:`_hm`
+          argues.
+
+        Every mask gets the key that :meth:`key` gives it.
+        """
+        n = len(self.weights)
+        h = n // 2
+        low = (1 << h) - 1
+
+        def split(items: list[int]) -> tuple[list[int], list[int]]:
+            return _subset_sums(items[:h]), _subset_sums(items[h:])
+
+        mass_lo, mass_hi = split(self.weights)
+
+        def mass(mask: int) -> int:
+            return mass_lo[mask & low] + mass_hi[mask >> h]
+
+        kind = self.spec.kind
+        if kind is SwfKind.MEC:
+            sums = [split([w * v for _, w, v in rows]) for rows in self.rows.values()]
+
+            def key(mask: int) -> tuple:
+                a, b = mask & low, mask >> h
+                return _dense_ranks([lo[a] + hi[b] for lo, hi in sums])
+
+            return key, mass
+
+        orders = []
+        for rows in self.rows.values():
+            ranked = sorted(rows, key=itemgetter(2))
+            places = [0] * n
+            for j, (bit, _, _) in enumerate(ranked):
+                places[bit.bit_length() - 1] = 1 << j
+            weights = [w for _, w, _ in ranked]
+            # By place, kthm reads its survivors' sums; the others, values.
+            if kind is SwfKind.KTHM:
+                reads = split([w * v for _, w, v in ranked])
+            else:
+                reads = ([v for _, _, v in ranked],)
+            orders.append((*split(places), weights, *reads))
+
+        if kind is SwfKind.MAXIMIN:
+
+            def key(mask: int) -> tuple:
+                a, b = mask & low, mask >> h
+                scores = []
+                for place_lo, place_hi, _, values in orders:
+                    p = place_lo[a] | place_hi[b]
+                    scores.append(values[(p & -p).bit_length() - 1])
+                return _dense_ranks(scores)
+
+        elif kind is SwfKind.HM:
+
+            def key(mask: int) -> tuple:
+                a, b = mask & low, mask >> h
+                whole = mass_lo[a] + mass_hi[b]
+                cap = self._cap(whole)
+                scores = []
+                for place_lo, place_hi, weights, values in orders:
+                    p = place_lo[a] | place_hi[b]
+                    walked = before = 0
+                    while True:
+                        bit = p & -p
+                        j = bit.bit_length() - 1
+                        w = weights[j]
+                        if walked + w > cap:
+                            break
+                        walked += w
+                        before = j
+                        p ^= bit
+                    if 2 * walked == whole:
+                        scores.append(values[before] + values[j])
+                    else:
+                        scores.append(2 * values[j])
+                return _dense_ranks(scores)
+
+        else:
+
+            def key(mask: int) -> tuple:
+                a, b = mask & low, mask >> h
+                whole = mass_lo[a] + mass_hi[b]
+                cap = self._cap(whole)
+                survivors = []
+                for place_lo, place_hi, weights, sum_lo, sum_hi in orders:
+                    p = place_lo[a] | place_hi[b]
+                    bottom = top = 0
+                    while True:
+                        bit = p & -p
+                        w = weights[bit.bit_length() - 1]
+                        if bottom + w > cap:
+                            break
+                        bottom += w
+                        p ^= bit
+                    while True:
+                        j = p.bit_length() - 1
+                        w = weights[j]
+                        if top + w > cap:
+                            break
+                        top += w
+                        p ^= 1 << j
+                    total = sum_lo[p & low] + sum_hi[p >> h]
+                    survivors.append((total, whole - bottom - top))
+                return _dense_ranks(self._means(survivors))
+
+        return key, mass
+
     def shed(self, action: ActionId) -> tuple[frozenset, frozenset]:
         """The ids the trim drops from ``action``: low side, high side."""
         rows = self.rows[action]
@@ -314,6 +457,20 @@ class _Compiled:
         else:
             divisor = self.den * self.scale
         return [Fraction(s, divisor) for s in self.score(self.everyone)]
+
+
+def _subset_sums(items: Sequence[int]) -> list[int]:
+    """The sum of ``items`` over every mask of ``len(items)`` bits, by mask.
+
+    Each entry is one addition: the lowbit recurrence
+    ``t[m] = t[m ^ low] + items[index of low]``, with ``low`` the
+    lowest set bit of ``m``.
+    """
+    table = [0] * (1 << len(items))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] + items[low.bit_length() - 1]
+    return table
 
 
 def _view(spec: SwfSpec, framework: EthicalFramework, action: ActionId) -> _Compiled:
