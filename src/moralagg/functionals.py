@@ -14,8 +14,9 @@ a weak order over the actions (worst group first):
 All scores are exact rationals, so ties are exact ties.  Each rule is
 implemented once, over one integer compile of the framework
 (:class:`_Compiled`), where ``kthm`` and ``hm`` share one trim scan;
-for dominance enumeration, which keys every subset, the compile also
-reads each rule from split subset tables.
+for dominance enumeration, which visits every subset, the compile also
+scores each rule over whole blocks of subsets from subset tables, and
+tests a block against the full ranking by comparing columns.
 :func:`aggregate`, the per-action functions and the dominance checks,
 witnesses and probes of :mod:`moralagg.fanaticism` read it; its integer
 form stays in this module, and other modules ask it for keys, masses,
@@ -26,8 +27,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import lcm
-from operator import itemgetter
+from functools import reduce
+from itertools import compress, repeat
+from math import inf, lcm
+from operator import add, and_, eq, itemgetter, lt, mul
 from typing import Callable, Optional, Sequence, Union
 
 from .core import (
@@ -135,8 +138,8 @@ class _Compiled:
       theory in a subset mask, and ``everyone`` is the mask of them all;
     - ``key(mask)``, a nonempty subset's ranking as ``core._dense_ranks``
       gives it, and ``mass(mask)``, which over ``den`` is its credence;
-    - :meth:`tables`, the same ``key`` and ``mass`` read from split
-      subset tables, for a caller that keys every mask;
+    - :meth:`blocks`, which masks have a given key and their masses,
+      one block of masks at a time, for a caller that visits every mask;
     - :meth:`exact`, the full framework's scores; :meth:`shed`, the ids
       the trim drops; :meth:`spread`, the ``kthm`` ladder's bound;
     - ``actions`` and ``spec``, as given.
@@ -167,10 +170,14 @@ class _Compiled:
 
     ``key`` and ``mass`` scan every row of a mask, which suits the one
     to three masks that :func:`aggregate`, a dominance check or a
-    witness keys, at any number of theories.  :meth:`tables` spends
-    ``O(actions * 2^(n/2))`` memory on ``n`` theories to key each mask
-    by a few lookups instead, and only enumeration, which keys all
-    ``2^n``, builds them.
+    witness keys, at any number of theories.  :meth:`blocks` spends
+    ``O(actions * 2^(n/2))`` memory on ``n`` theories to score a whole
+    block of masks per action at once, and to test each block against
+    one key by comparing columns instead of sorting a key per mask; only
+    enumeration, which visits all ``2^n``, builds them.
+
+    The compile holds no reference to itself, so it is freed as soon as
+    its caller drops it, without waiting for the cycle collector.
     """
 
     def __init__(
@@ -197,8 +204,12 @@ class _Compiled:
         if spec.kind in (SwfKind.KTHM, SwfKind.HM):
             for a in actions:
                 self._sort(a)
-        # One of _mec, _maximin, _kthm and _hm, named after the kind.
-        self.score = getattr(self, f"_{spec.kind.value}")
+            level = HALF if spec.kind is SwfKind.HM else spec.k
+            self.level = level.as_integer_ratio()
+
+    def score(self, mask: int) -> Sequence[int]:
+        """Each action's integer score on the nonempty subset ``mask``."""
+        return self._RULES[self.spec.kind](self, mask)
 
     def _sort(self, action: ActionId) -> None:
         """Order ``action``'s rows by value; the stable sort keeps ties declared."""
@@ -240,14 +251,10 @@ class _Compiled:
         return tuple(scores)
 
     def _kthm(self, mask: int) -> list:
-        return self._means(self._survivors(mask))
-
-    def _means(self, survivors: list[tuple[int, int]]) -> list[int]:
-        """``kthm``'s scores from each action's survivor sum and mass."""
+        survivors = self._survivors(mask)
         if self.spec.trim_mode is TrimMode.LITERAL:
             return [total for total, _ in survivors]
-        common = lcm(*[kept for _, kept in survivors])
-        return [total * (common // kept) for total, kept in survivors]
+        return _renormalize(survivors)
 
     def _survivors(self, mask: int) -> list[tuple[int, int]]:
         """Each action's ``kthm`` survivors in ``mask``: their weighted sum and mass."""
@@ -265,9 +272,10 @@ class _Compiled:
 
         That is ``num(k) * mass // den(k)``: the ``kthm`` level ``k``, or
         one half for ``hm``, whose median is what the half-trim leaves.
+        The compile takes ``level``, the pair ``(num(k), den(k))``, once.
         """
-        k = HALF if self.spec.kind is SwfKind.HM else self.spec.k
-        return k.numerator * mass // k.denominator
+        num, den = self.level
+        return num * mass // den
 
     def trim(self, rows: list, mask: int, cap: int) -> tuple[int, int, int]:
         """The trim of the sorted ``rows`` in ``mask`` at ``cap``, in one scan.
@@ -297,134 +305,171 @@ class _Compiled:
             hi -= 1
         return lo, hi, low + high
 
-    def tables(self) -> tuple[Callable[[int], tuple], Callable[[int], int]]:
-        """:meth:`key` and :meth:`mass` again, read from split subset tables.
+    def blocks(self, full: Sequence[int]) -> tuple[int, Callable[[int], "_Block"]]:
+        """Every mask tested against the key ``full``, one block at a time.
 
-        This is for a caller that keys every mask, as
-        :func:`~moralagg.fanaticism.enumerate_dominant_subsets` does; the
-        tables live as long as the two functions returned.  The ``n``
-        theory bits split into the ``h = n // 2`` low ones and the rest.
-        A table over one half holds a sum for every mask of that half
-        (:func:`_subset_sums`), so a mask's sum is two lookups,
-        ``lo[mask & low] + hi[mask >> h]``, from ``2^h + 2^(n - h)``
-        entries, not ``2^n``.  Summing the weights gives ``mass``.  Per
-        action:
+        This is for a caller that visits every mask, as
+        :func:`~moralagg.fanaticism.enumerate_dominant_subsets` does.  The
+        ``n`` theory bits split into the ``h = (n - 1) // 2`` low ones and
+        the rest.  Block ``b`` holds the ``2^h`` masks ``a | b << h``, and
+        ``block(b)`` builds it (:class:`_Block`); this returns ``2^h`` and
+        ``block``.  A block has one column per action, the action's score
+        at every low index ``a``.  A sum over the low bits is a lookup in
+        a subset table (:func:`_subset_table`); the high bits are fixed in
+        a block, so their part is folded once and joined to every entry.
+        The weights give the masses.  Per action:
 
         - ``mec`` sums each theory's ``weight * value``;
-        - the other rules sum ``1 << j`` for the theory at place ``j`` of
-          the action's value order, ties declared as :meth:`_sort` keeps
-          them.  The lookups give ``p``, the mask re-indexed into that
-          order, and its set bits are the masked rows of :meth:`trim`.
-          ``maximin`` scores the value at ``p``'s lowest bit.  ``kthm``
-          clears the bits :meth:`trim` would shed, from both ends, and
-          sums the survivors' ``weight * value`` from tables over places:
-          two lookups on what is left of ``p``.  ``hm`` walks from the low
-          end only, to the first row past the half cap; at an exact half
-          the row before it is the second median row, as :meth:`_hm`
-          argues.
+        - ``maximin`` takes the least value, from tables of minima whose
+          empty entry is ``inf``;
+        - ``kthm`` and ``hm`` sum bit ``1 << j`` for the theory at place
+          ``j`` of the action's value order, as :meth:`_sort` keeps it.
+          That gives ``p``, the mask re-indexed into that order, whose set
+          bits are the masked rows of :meth:`trim`, cut at :meth:`_cap`.
+          ``kthm`` clears the bits the trim sheds from both ends of ``p``
+          and subtracts their ``weight * value`` from the mask's ``mec``
+          sum; renormalized, each survivor mass is a second column.
+          ``hm`` walks from the low end only, to the first row past the
+          half cap; at an exact half the row before it is the second
+          median row, as :meth:`_hm` argues.
 
-        Every mask gets the key that :meth:`key` gives it.
+        A mask has the key ``full`` exactly when its scores, in the order
+        ``full`` ranks the actions, form the chain ``full`` does: ``<``
+        between two groups, ``==`` within one.  So a block's flags are
+        ``len(actions) - 1`` comparisons of whole columns, with no sort.
+        Renormalized ``kthm`` compares the means ``t_i / m_i`` and
+        ``t_j / m_j`` as ``t_i * m_j`` against ``t_j * m_i``; every mass
+        is positive.  The tables and a block hold ``O(actions * 2^(n/2))``
+        entries.  Index 0 of block 0 is the empty mask, whose entries
+        mean nothing; its walks stop at once.
         """
         n = len(self.weights)
-        h = n // 2
-        low = (1 << h) - 1
+        h = (n - 1) // 2
+        kind = self.spec.kind
+        renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
+        order = sorted(range(len(full)), key=full.__getitem__)
+        links = [
+            (i, j, eq if full[i] == full[j] else lt) for i, j in zip(order, order[1:])
+        ]
 
-        def split(items: list[int]) -> tuple[list[int], list[int]]:
-            return _subset_sums(items[:h]), _subset_sums(items[h:])
+        def split(items: list, join: Callable = add, empty=0) -> tuple[list, list]:
+            """A subset table over the low ``h`` items, and the high items."""
+            return _subset_table(items[:h], join, empty), items[h:]
+
+        def places(rows: list) -> tuple[list, list]:
+            placed = [0] * n
+            for j, (bit, _, _) in enumerate(rows):
+                placed[bit.bit_length() - 1] = 1 << j
+            return split(placed)
 
         mass_lo, mass_hi = split(self.weights)
-
-        def mass(mask: int) -> int:
-            return mass_lo[mask & low] + mass_hi[mask >> h]
-
-        kind = self.spec.kind
-        if kind is SwfKind.MEC:
-            sums = [split([w * v for _, w, v in rows]) for rows in self.rows.values()]
-
-            def key(mask: int) -> tuple:
-                a, b = mask & low, mask >> h
-                return _dense_ranks([lo[a] + hi[b] for lo, hi in sums])
-
-            return key, mass
-
-        orders = []
-        for rows in self.rows.values():
-            ranked = sorted(rows, key=itemgetter(2))
-            places = [0] * n
-            for j, (bit, _, _) in enumerate(ranked):
-                places[bit.bit_length() - 1] = 1 << j
-            weights = [w for _, w, _ in ranked]
-            # By place, kthm reads its survivors' sums; the others, values.
-            if kind is SwfKind.KTHM:
-                reads = split([w * v for _, w, v in ranked])
+        if kind is SwfKind.MEC or kind is SwfKind.MAXIMIN:
+            if kind is SwfKind.MEC:
+                join, empty = add, 0
+                reads = [[w * v for _, w, v in rows] for rows in self.rows.values()]
             else:
-                reads = ([v for _, _, v in ranked],)
-            orders.append((*split(places), weights, *reads))
+                join, empty = min, inf
+                reads = [[v for _, _, v in rows] for rows in self.rows.values()]
+            tables = [split(items, join, empty) for items in reads]
 
-        if kind is SwfKind.MAXIMIN:
-
-            def key(mask: int) -> tuple:
-                a, b = mask & low, mask >> h
-                scores = []
-                for place_lo, place_hi, _, values in orders:
-                    p = place_lo[a] | place_hi[b]
-                    scores.append(values[(p & -p).bit_length() - 1])
-                return _dense_ranks(scores)
+            def columns(high: list, masses: list) -> list:
+                out = []
+                for lo, hi in tables:
+                    y = reduce(join, compress(hi, high), empty)
+                    out.append(list(map(join, lo, repeat(y))))
+                return out
 
         elif kind is SwfKind.HM:
+            orders = [
+                (*places(rows), [w for _, w, _ in rows], [v for _, _, v in rows])
+                for rows in self.rows.values()
+            ]
 
-            def key(mask: int) -> tuple:
-                a, b = mask & low, mask >> h
-                whole = mass_lo[a] + mass_hi[b]
-                cap = self._cap(whole)
-                scores = []
+            def columns(high: list, masses: list) -> list:
+                caps = list(map(self._cap, masses))
+                out = []
                 for place_lo, place_hi, weights, values in orders:
-                    p = place_lo[a] | place_hi[b]
-                    walked = before = 0
-                    while True:
-                        bit = p & -p
-                        j = bit.bit_length() - 1
-                        w = weights[j]
-                        if walked + w > cap:
-                            break
-                        walked += w
-                        before = j
-                        p ^= bit
-                    if 2 * walked == whole:
-                        scores.append(values[before] + values[j])
-                    else:
-                        scores.append(2 * values[j])
-                return _dense_ranks(scores)
+                    y = sum(compress(place_hi, high))
+                    column = []
+                    for x, whole, cap in zip(place_lo, masses, caps):
+                        p = x | y
+                        walked = before = 0
+                        while True:
+                            bit = p & -p
+                            j = bit.bit_length() - 1
+                            w = weights[j]
+                            if walked + w > cap:
+                                break
+                            walked += w
+                            before = j
+                            p ^= bit
+                        if 2 * walked == whole:
+                            column.append(values[before] + values[j])
+                        else:
+                            column.append(2 * values[j])
+                    out.append(column)
+                return out
 
         else:
+            # By place: weights and weight * value; by theory, the mec sums.
+            orders = [
+                (
+                    *places(rows),
+                    [w for _, w, _ in rows],
+                    [w * v for _, w, v in rows],
+                    *split([w * v for _, w, v in sorted(rows)]),
+                )
+                for rows in self.rows.values()
+            ]
 
-            def key(mask: int) -> tuple:
-                a, b = mask & low, mask >> h
-                whole = mass_lo[a] + mass_hi[b]
-                cap = self._cap(whole)
-                survivors = []
-                for place_lo, place_hi, weights, sum_lo, sum_hi in orders:
-                    p = place_lo[a] | place_hi[b]
-                    bottom = top = 0
-                    while True:
-                        bit = p & -p
-                        w = weights[bit.bit_length() - 1]
-                        if bottom + w > cap:
-                            break
-                        bottom += w
-                        p ^= bit
-                    while True:
-                        j = p.bit_length() - 1
-                        w = weights[j]
-                        if top + w > cap:
-                            break
-                        top += w
-                        p ^= 1 << j
-                    total = sum_lo[p & low] + sum_hi[p >> h]
-                    survivors.append((total, whole - bottom - top))
-                return _dense_ranks(self._means(survivors))
+            def columns(high: list, masses: list) -> list:
+                caps = list(map(self._cap, masses))
+                out = []
+                for place_lo, place_hi, weights, products, sum_lo, sum_hi in orders:
+                    y = sum(compress(place_hi, high))
+                    z = sum(compress(sum_hi, high))
+                    totals, kept = [], []
+                    for x, whole, cap, s in zip(place_lo, masses, caps, sum_lo):
+                        p = x | y
+                        bottom = top = shed = 0
+                        while True:
+                            bit = p & -p
+                            j = bit.bit_length() - 1
+                            w = weights[j]
+                            if bottom + w > cap:
+                                break
+                            bottom += w
+                            shed += products[j]
+                            p ^= bit
+                        while True:
+                            j = p.bit_length() - 1
+                            w = weights[j]
+                            if top + w > cap:
+                                break
+                            top += w
+                            shed += products[j]
+                            p ^= 1 << j
+                        totals.append(s + z - shed)
+                        kept.append(whole - bottom - top)
+                    out.append((totals, kept) if renormalized else totals)
+                return out
 
-        return key, mass
+        def block(b: int) -> _Block:
+            high = [b >> j & 1 for j in range(n - h)]
+            y = sum(compress(mass_hi, high))
+            masses = list(map(add, mass_lo, repeat(y)))
+            out = columns(high, masses)
+            flags = repeat(True, len(masses))
+            for i, j, same in links:
+                if renormalized:
+                    (ti, mi), (tj, mj) = out[i], out[j]
+                    step = map(same, map(mul, ti, mj), map(mul, tj, mi))
+                else:
+                    step = map(same, out[i], out[j])
+                flags = map(and_, flags, step)
+            return _Block(list(flags), masses, out, renormalized)
+
+        return 1 << h, block
 
     def shed(self, action: ActionId) -> tuple[frozenset, frozenset]:
         """The ids the trim drops from ``action``: low side, high side."""
@@ -458,18 +503,59 @@ class _Compiled:
             divisor = self.den * self.scale
         return [Fraction(s, divisor) for s in self.score(self.everyone)]
 
+    # The rule behind ``score``: a plain function per kind, held by the
+    # class, so that a compile holds no bound method of itself.
+    _RULES = {
+        SwfKind.MEC: _mec,
+        SwfKind.MAXIMIN: _maximin,
+        SwfKind.KTHM: _kthm,
+        SwfKind.HM: _hm,
+    }
 
-def _subset_sums(items: Sequence[int]) -> list[int]:
-    """The sum of ``items`` over every mask of ``len(items)`` bits, by mask.
 
-    Each entry is one addition: the lowbit recurrence
-    ``t[m] = t[m ^ low] + items[index of low]``, with ``low`` the
-    lowest set bit of ``m``.
+class _Block:
+    """The masks ``a | b << h`` of one block of :meth:`_Compiled.blocks`.
+
+    ``flags[a]`` says whether the mask at low index ``a`` has the key
+    the blocks test against, ``masses[a]`` is its mass, and :meth:`key`
+    its ``_Compiled.key``.  ``columns`` holds each action's scores by
+    low index, or for renormalized ``kthm`` its survivor sums and
+    masses, two columns.
     """
-    table = [0] * (1 << len(items))
+
+    def __init__(
+        self, flags: list[bool], masses: list[int], columns: list, renormalized: bool
+    ):
+        self.flags = flags
+        self.masses = masses
+        self.columns = columns
+        self.renormalized = renormalized
+
+    def key(self, a: int) -> tuple[int, ...]:
+        if self.renormalized:
+            survivors = [(totals[a], kept[a]) for totals, kept in self.columns]
+            return _dense_ranks(_renormalize(survivors))
+        return _dense_ranks([column[a] for column in self.columns])
+
+
+def _renormalize(survivors: list[tuple[int, int]]) -> list[int]:
+    """Each survivor mean ``t / m`` times the lcm of every ``m``: integers."""
+    common = lcm(*[kept for _, kept in survivors])
+    return [total * (common // kept) for total, kept in survivors]
+
+
+def _subset_table(items: Sequence, join: Callable = add, empty=0) -> list:
+    """``join`` over the ``items`` of every mask of ``len(items)`` bits, by mask.
+
+    Entry 0 is ``empty``, and every other entry is one ``join``: the
+    lowbit recurrence ``t[m] = join(t[m ^ low], items[index of low])``,
+    with ``low`` the lowest set bit of ``m``.  Sums join with ``add``
+    from ``0``, minima with ``min`` from ``inf``.
+    """
+    table = [empty] * (1 << len(items))
     for m in range(1, len(table)):
         low = m & -m
-        table[m] = table[m ^ low] + items[low.bit_length() - 1]
+        table[m] = join(table[m ^ low], items[low.bit_length() - 1])
     return table
 
 

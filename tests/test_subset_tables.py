@@ -1,32 +1,42 @@
-"""Split subset tables against the per-mask path and the plain reference.
+"""Block enumeration against the per-mask path and the plain reference.
 
-:func:`enumerate_dominant_subsets` keys every mask from
-``_Compiled.tables()``: sums over the low and the high half of the
-theory bits, two lookups per mask and table.  :func:`is_dominant_subset`,
-:func:`aggregate` and the witnesses key one to three masks with
-``_Compiled.key``, which ``test_dominance_kernel.py`` holds to
-``reference.py`` from 2 to 24 theories.  These tests hold the tables to
-both, under all five variants plus ``kthm`` at 0, 1/7 and 49/100 in both
-modes:
+:func:`enumerate_dominant_subsets` walks the masks one block at a time
+(``_Compiled.blocks``): each action's scores over every low index of a
+block, one column each, read from subset tables over the low theory
+bits, and a chain of column comparisons that says which masks rank like
+the full framework.  :func:`is_dominant_subset`, :func:`aggregate` and
+the witnesses key one to three masks with ``_Compiled.key``, which
+``test_dominance_kernel.py`` holds to ``reference.py`` from 2 to 24
+theories.  These tests hold the blocks to both, under all five variants
+plus ``kthm`` at 0, 1/7 and 49/100 in both modes:
 
 - at 9 and 10 theories, the enumeration against one ranking per subset
   from ``restrict`` plus ``reference.py``;
-- at 11 to 14 theories, every mask's table key and mass against
-  ``_Compiled.key`` and ``_Compiled.mass``, and the enumeration against
-  a walk of those per-mask keys;
+- at 11 to 14 theories, every mask's flag, mass and key, dense-ranked
+  from its block's columns, against ``_Compiled.key`` and
+  ``_Compiled.mass``, and the enumeration against a walk of those
+  per-mask keys;
 - on built frameworks with uniform and with dyadic credences, where the
   sorted rows of many masks reach exactly half the mask's weight, so
-  that ``hm`` averages two rows.
+  that ``hm`` averages two rows;
+- on the chain test's edge cases: a full ranking of one group, a single
+  action, odd theory counts, and renormalized ``kthm`` means that tie
+  as ``t1 / m1 == t2 / m2`` with ``t1 != t2``.
 
-A memory guard counts table entries instead of timing: an enumeration
-builds at most ``6 · actions · 2^ceil(n/2)`` of them, afresh on every
-call, and ``aggregate``, ``is_dominant_subset``, ``_Compiled.key`` and
-the witnesses build none.  Within one call, subsets whose complements
+A memory guard counts entries instead of timing: an enumeration's subset
+tables, plus the most block entries alive at once, stay within
+``6 · actions · 2^ceil(n/2)``, afresh on every call, and ``aggregate``,
+``is_dominant_subset``, ``_Compiled.key`` and the witnesses build no
+table.  Every compile is freed by reference counting alone as its call
+returns, and ``core._dense_ranks`` runs once for the full framework and
+once per reported subset.  Within one call, subsets whose complements
 rank alike share one verdict.
 """
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -38,7 +48,9 @@ from moralagg import (
     Theory,
     TrimMode,
     aggregate,
+    core,
     enumerate_dominant_subsets,
+    fanaticism,
     functionals,
     is_dominant_subset,
     witness_kthm,
@@ -73,16 +85,23 @@ def reference_enumeration(spec, framework, actions):
 
 
 def assert_tables_match_per_mask(spec, framework, actions):
-    """Table keys and masses equal ``_Compiled``'s on every mask, and the
-    enumeration equals a walk of the per-mask keys."""
+    """Every block's flags, masses and keys equal ``_Compiled``'s on every
+    mask, and the enumeration equals a walk of the per-mask keys."""
     compiled = _Compiled(spec, framework, actions)
-    key, mass = compiled.tables()
     everyone = compiled.everyone
-    keys = {}
-    for mask in range(1, everyone + 1):
-        keys[mask] = compiled.key(mask)
-        assert key(mask) == keys[mask], mask
-        assert mass(mask) == compiled.mass(mask), mask
+    keys = {everyone: compiled.key(everyone)}
+    size, block = compiled.blocks(keys[everyone])
+    for b in range((everyone + 1) // size):
+        built = block(b)
+        assert len(built.flags) == len(built.masses) == size
+        for a in range(size):
+            mask = b * size + a
+            if not mask:
+                continue
+            keys[mask] = compiled.key(mask)
+            assert built.key(a) == keys[mask], mask
+            assert built.flags[a] == (keys[mask] == keys[everyone]), mask
+            assert built.masses[a] == compiled.mass(mask), mask
     full = _ranking(actions, keys[everyone])
     ids = list(zip(framework.theory_ids(), compiled.bits))
     walked = []
@@ -176,29 +195,69 @@ def test_exact_half_framework_matches_per_mask_keys():
 def table_sizes(monkeypatch):
     """The length of every subset table built while the test runs."""
     sizes = []
-    original = functionals._subset_sums
+    original = functionals._subset_table
 
-    def counting(items):
-        table = original(items)
+    def counting(items, *args):
+        table = original(items, *args)
         sizes.append(len(table))
         return table
 
-    monkeypatch.setattr(functionals, "_subset_sums", counting)
+    monkeypatch.setattr(functionals, "_subset_table", counting)
     return sizes
 
 
+def block_entries(block):
+    """The entries a block holds: flags, masses and every column."""
+    columns = block.columns
+    if block.renormalized:
+        columns = [column for pair in columns for column in pair]
+    return len(block.flags) + len(block.masses) + sum(map(len, columns))
+
+
+@pytest.fixture
+def live_block_entries(monkeypatch):
+    """After each block is built, the entries of all blocks then alive.
+
+    The test runs with ``gc`` off, so a block is alive exactly until its
+    last reference goes.
+    """
+    counts = []
+    live = weakref.WeakSet()
+    original = _Compiled.blocks
+
+    def blocks(self, full):
+        size, block = original(self, full)
+
+        def counting(b):
+            built = block(b)
+            live.add(built)
+            counts.append(sum(map(block_entries, live)))
+            return built
+
+        return size, counting
+
+    monkeypatch.setattr(_Compiled, "blocks", blocks)
+    gc.disable()
+    yield counts
+    gc.enable()
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=SwfSpec.label)
-def test_enumeration_tables_grow_with_half_the_theories(spec, table_sizes):
+def test_enumeration_tables_grow_with_half_the_theories(
+    spec, table_sizes, live_block_entries
+):
     rng = random.Random(16_300)
     for nt in range(2, 12):
         framework, actions = random_framework(rng, (nt, nt))
         bound = 2 ** ((nt + 1) // 2)
         for _ in range(2):
             table_sizes.clear()
+            live_block_entries.clear()
             enumerate_dominant_subsets(spec, framework, actions)
-            assert table_sizes, nt
+            assert table_sizes and live_block_entries, nt
             assert max(table_sizes) <= bound, nt
-            assert sum(table_sizes) <= 6 * len(actions) * bound, nt
+            held = sum(table_sizes) + max(live_block_entries)
+            assert held <= 6 * len(actions) * bound, nt
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=SwfSpec.label)
@@ -228,3 +287,137 @@ def test_one_verdict_per_yielding_ranking(spec):
     again = enumerate_dominant_subsets(spec, framework, actions)
     assert again == first
     assert all(a.verdict is not b.verdict for a, b in zip(again, first))
+
+
+def test_compiles_are_freed_without_the_cycle_collector(monkeypatch):
+    # A compile that held a bound method of itself would wait for the
+    # cycle collector; with gc off it would stay alive after its call.
+    compiles = []
+    original = _Compiled.__init__
+
+    def init(self, *args):
+        original(self, *args)
+        compiles.append(weakref.ref(self))
+
+    monkeypatch.setattr(_Compiled, "__init__", init)
+    framework, actions = random_framework(random.Random(17_000), (7, 7))
+    calls = (
+        lambda spec: aggregate(spec, framework, actions),
+        lambda spec: is_dominant_subset(spec, framework, actions, framework.theory_ids()[:3]),
+        lambda spec: enumerate_dominant_subsets(spec, framework, actions),
+    )
+    gc.disable()
+    try:
+        for spec in ALL_SPECS:
+            for call in calls:
+                compiles.clear()
+                result = call(spec)
+                assert len(compiles) == 1
+                assert compiles[0]() is None, spec.label()
+                del result
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=SwfSpec.label)
+def test_dense_ranks_once_per_reported_subset(spec, monkeypatch):
+    calls = []
+    original = core._dense_ranks
+
+    def counting(scores):
+        calls.append(len(scores))
+        return original(scores)
+
+    for module in (core, functionals, fanaticism):
+        monkeypatch.setattr(module, "_dense_ranks", counting)
+    rng = random.Random(17_100)
+    reported = 0
+    for nt in (6, 9, 10):
+        framework, actions = random_framework(rng, (nt, nt))
+        calls.clear()
+        found = enumerate_dominant_subsets(spec, framework, actions)
+        assert len(calls) <= len(found) + 1, nt
+        reported += len(found)
+    assert reported
+
+
+def small_framework(rng, nt, na, values):
+    """``nt`` theories over ``na`` actions, evaluations drawn from ``values``
+    and credence weights from 1 to 4, so that ties are common."""
+    actions = ActionSet(tuple("abcde"[:na]))
+    weights = [rng.randint(1, 4) for _ in range(nt)]
+    theories = [
+        Theory(f"t{i + 1}", {a: rng.choice(values) for a in actions}) for i in range(nt)
+    ]
+    return EthicalFramework(
+        theories, {t.id: F(w, sum(weights)) for t, w in zip(theories, weights)}
+    ), actions
+
+
+def first_framework(seed, accept, nt, na, values):
+    """The first of 300 seeded small frameworks that ``accept`` takes."""
+    for offset in range(300):
+        framework, actions = small_framework(random.Random(seed + offset), nt, na, values)
+        if accept(framework, actions):
+            return framework, actions
+    raise AssertionError(f"no framework from seed {seed} qualifies")
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=SwfSpec.label)
+def test_full_ranking_of_one_group_matches_reference(spec):
+    # The chain is all ``==``, and some single theory ranks otherwise, so
+    # the flags are not all alike.  Under ``mec`` (and ``kthm`` at 0) a
+    # tied side of a tied framework leaves the other side tied, so only
+    # the other rules can report a subset here.
+    def accept(framework, actions):
+        tied = len(reference.ranking(spec, framework, actions).groups) == 1
+        return tied and any(
+            len(reference.ranking(spec, restrict(framework, [tid]), actions).groups) > 1
+            for tid in framework.theory_ids()
+        )
+
+    framework, actions = first_framework(17_200, accept, 6, 2, (-1, 0, 1, 2))
+    got = fields(enumerate_dominant_subsets(spec, framework, actions))
+    assert got == reference_enumeration(spec, framework, actions)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=SwfSpec.label)
+def test_single_action_has_no_dominant_subset(spec):
+    # No chain at all: every mask ranks like the full framework.
+    rng = random.Random(17_300)
+    for nt in range(1, 10):
+        framework, actions = random_framework(rng, (nt, nt))
+        actions = ActionSet(tuple(actions)[:1])
+        assert enumerate_dominant_subsets(spec, framework, actions) == []
+        if nt <= 6:
+            assert reference_enumeration(spec, framework, actions) == []
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=SwfSpec.label)
+@pytest.mark.parametrize("nt", (2, 3, 5, 7))
+def test_small_and_odd_theory_counts_match_reference(spec, nt):
+    # The low half of the theory bits is the smaller one; at 2 theories
+    # it is empty, and each block holds a single mask.
+    for seed in range(3):
+        framework, actions = random_framework(random.Random(17_400 + 10 * nt + seed), (nt, nt))
+        got = fields(enumerate_dominant_subsets(spec, framework, actions))
+        assert got == reference_enumeration(spec, framework, actions)
+
+
+def test_renormalized_means_tied_across_survivor_masses():
+    # Two actions whose renormalized means tie in the full framework,
+    # t1 / m1 == t2 / m2, from different survivor sums and masses: the
+    # chain compares them by cross-multiplying.
+    spec = SwfSpec.kthm("1/4", TrimMode.RENORMALIZED)
+
+    def tied(framework, actions):
+        compiled = _Compiled(spec, framework, actions)
+        survivors = compiled._survivors(compiled.everyone)
+        return any(
+            t1 * m2 == t2 * m1 and t1 != t2
+            for (t1, m1), (t2, m2) in itertools.combinations(survivors, 2)
+        ) and reference_enumeration(spec, framework, actions)
+
+    framework, actions = first_framework(17_500, tied, 6, 3, (-2, -1, 1, 2, 3))
+    got = fields(enumerate_dominant_subsets(spec, framework, actions))
+    assert got == reference_enumeration(spec, framework, actions)
