@@ -250,10 +250,10 @@ def enumerate_dominant_subsets(
             if not (a or b):
                 continue  # the empty mask, whose flag means nothing
             if mine.flags[a]:
-                members, mass = b * size + a, mine.masses[a]
+                members, mass = b * size + a, mine.mass(a)
                 rest = theirs.key(low ^ a)
             else:
-                members, mass = (top ^ b) * size + (low ^ a), theirs.masses[low ^ a]
+                members, mass = (top ^ b) * size + (low ^ a), theirs.mass(low ^ a)
                 rest = mine.key(a)
             verdict = verdicts.get(rest)
             if verdict is None:

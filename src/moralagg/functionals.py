@@ -310,14 +310,16 @@ class _Compiled:
 
         This is for a caller that visits every mask, as
         :func:`~moralagg.fanaticism.enumerate_dominant_subsets` does.  The
-        ``n`` theory bits split into the ``h = (n - 1) // 2`` low ones and
-        the rest.  Block ``b`` holds the ``2^h`` masks ``a | b << h``, and
-        ``block(b)`` builds it (:class:`_Block`); this returns ``2^h`` and
-        ``block``.  A block has one column per action, the action's score
-        at every low index ``a``.  A sum over the low bits is a lookup in
-        a subset table (:func:`_subset_table`); the high bits are fixed in
-        a block, so their part is folded once and joined to every entry.
-        The weights give the masses.  Per action:
+        ``n`` theory bits split into the ``h`` low ones and the rest:
+        ``h = n // 2``, or ``(n - 1) // 2`` for ``kthm``, which keeps two
+        tables per action and, renormalized, two columns.  Block ``b``
+        holds the ``2^h`` masks ``a | b << h``, and ``block(b)`` builds it
+        (:class:`_Block`); this returns ``2^h`` and ``block``.  A block
+        has one column per action, the action's score at every low index
+        ``a``.  A sum over the low bits is a lookup in a subset table
+        (:func:`_subset_table`); the high bits are fixed in a block, so
+        their part is folded once and joined to every entry.  The weights
+        give the masses.  Per action:
 
         - ``mec`` sums each theory's ``weight * value``;
         - ``maximin`` takes the least value, from tables of minima whose
@@ -344,8 +346,8 @@ class _Compiled:
         mean nothing; its walks stop at once.
         """
         n = len(self.weights)
-        h = (n - 1) // 2
         kind = self.spec.kind
+        h = (n - 1) // 2 if kind is SwfKind.KTHM else n // 2
         renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
         order = sorted(range(len(full)), key=full.__getitem__)
         links = [
@@ -457,9 +459,8 @@ class _Compiled:
         def block(b: int) -> _Block:
             high = [b >> j & 1 for j in range(n - h)]
             y = sum(compress(mass_hi, high))
-            masses = list(map(add, mass_lo, repeat(y)))
-            out = columns(high, masses)
-            flags = repeat(True, len(masses))
+            out = columns(high, list(map(add, mass_lo, repeat(y))))
+            flags = repeat(True, len(mass_lo))
             for i, j, same in links:
                 if renormalized:
                     (ti, mi), (tj, mj) = out[i], out[j]
@@ -467,7 +468,7 @@ class _Compiled:
                 else:
                     step = map(same, out[i], out[j])
                 flags = map(and_, flags, step)
-            return _Block(list(flags), masses, out, renormalized)
+            return _Block(list(flags), mass_lo, y, out, renormalized)
 
         return 1 << h, block
 
@@ -517,19 +518,29 @@ class _Block:
     """The masks ``a | b << h`` of one block of :meth:`_Compiled.blocks`.
 
     ``flags[a]`` says whether the mask at low index ``a`` has the key
-    the blocks test against, ``masses[a]`` is its mass, and :meth:`key`
-    its ``_Compiled.key``.  ``columns`` holds each action's scores by
-    low index, or for renormalized ``kthm`` its survivor sums and
-    masses, two columns.
+    the blocks test against, and :meth:`mass` and :meth:`key` give its
+    ``_Compiled.mass`` and ``_Compiled.key``.  ``columns`` holds each
+    action's scores by low index, or for renormalized ``kthm`` its
+    survivor sums and masses, two columns.  The low-half mass table is
+    shared by every block; a block adds its high half's mass.
     """
 
     def __init__(
-        self, flags: list[bool], masses: list[int], columns: list, renormalized: bool
+        self,
+        flags: list[bool],
+        mass_lo: list[int],
+        mass_hi: int,
+        columns: list,
+        renormalized: bool,
     ):
         self.flags = flags
-        self.masses = masses
+        self.mass_lo = mass_lo
+        self.mass_hi = mass_hi
         self.columns = columns
         self.renormalized = renormalized
+
+    def mass(self, a: int) -> int:
+        return self.mass_lo[a] + self.mass_hi
 
     def key(self, a: int) -> tuple[int, ...]:
         if self.renormalized:

@@ -93,7 +93,7 @@ def assert_tables_match_per_mask(spec, framework, actions):
     size, block = compiled.blocks(keys[everyone])
     for b in range((everyone + 1) // size):
         built = block(b)
-        assert len(built.flags) == len(built.masses) == size
+        assert len(built.flags) == size
         for a in range(size):
             mask = b * size + a
             if not mask:
@@ -101,7 +101,7 @@ def assert_tables_match_per_mask(spec, framework, actions):
             keys[mask] = compiled.key(mask)
             assert built.key(a) == keys[mask], mask
             assert built.flags[a] == (keys[mask] == keys[everyone]), mask
-            assert built.masses[a] == compiled.mass(mask), mask
+            assert built.mass(a) == compiled.mass(mask), mask
     full = _ranking(actions, keys[everyone])
     ids = list(zip(framework.theory_ids(), compiled.bits))
     walked = []
@@ -207,11 +207,11 @@ def table_sizes(monkeypatch):
 
 
 def block_entries(block):
-    """The entries a block holds: flags, masses and every column."""
+    """The entries a block holds: its flags and every column."""
     columns = block.columns
     if block.renormalized:
         columns = [column for pair in columns for column in pair]
-    return len(block.flags) + len(block.masses) + sum(map(len, columns))
+    return len(block.flags) + sum(map(len, columns))
 
 
 @pytest.fixture
