@@ -20,15 +20,22 @@ import contextlib
 import decimal
 import enum
 import io
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .core import MoralAggError, Ranking, to_rational
 from .functionals import SwfKind, SwfSpec, TrimMode, aggregate
 from .scenario import ScenarioDocument, parse_scenario, serialize_scenario
+
+try:
+    # The C function behind json.encoder's; importing it alone spares
+    # every process json's decoder and scanner.
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without CPython's accelerator module
+    from json.encoder import encode_basestring_ascii as _quote
 
 # Dominance, witnesses and the audit load only in the subcommands that
 # run them, so validate, rank and compare never compile those modules.
@@ -50,40 +57,118 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+_APPROX = decimal.Context(prec=6)
+
+
 def approx(value: Fraction) -> str:
     """6-significant-digit decimal rendering of an exact rational."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 6
-        d = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
-    return str(d)
+    return str(_APPROX.divide(value.numerator, value.denominator))
 
 
 def _fmt(value: Fraction) -> str:
     return f"{value} (~= {approx(value)})"
 
 
-def _jsonable(value):
+# What the writer renders a value as.  ``_KINDS`` names the kind of each
+# exact type that needs no other check; ``_kind`` sorts out the rest.
+_STR, _FRACTION, _MAP, _LIST, _INT, _BOOL, _NULL = range(7)
+_KINDS = {
+    str: _STR,
+    Fraction: _FRACTION,
+    dict: _MAP,
+    MappingProxyType: _MAP,
+    list: _LIST,
+    tuple: _LIST,
+    int: _INT,
+    bool: _BOOL,
+    type(None): _NULL,
+}
+
+
+def _kind(value) -> tuple[int, object]:
+    """The kind of ``value`` and the value to render as that kind.
+
+    An enum is rendered as its value, a ``Ranking`` as its groups with
+    each group's actions sorted, and a set as its sorted members.
+    """
+    kind = _KINDS.get(value.__class__)
+    if kind is not None:
+        return kind, value
     if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
+        return _FRACTION, value
     if isinstance(value, enum.Enum):
-        return value.value
+        return _kind(value.value)
     if isinstance(value, Ranking):
-        return [sorted(group) for group in value.groups]
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
+        return _LIST, [sorted(group) for group in value.groups]
+    if isinstance(value, str):
+        return _STR, value
+    if isinstance(value, int):
+        return _INT, value
     if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(v) for v in value)
+        return _LIST, sorted(v.value if isinstance(v, enum.Enum) else v for v in value)
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return _LIST, value
     if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return _MAP, value
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
+def _write(value, pad: str, out) -> None:
+    """Append, through ``out``, the text of ``value`` in the ``--json`` layout.
+
+    The layout is ``json.dumps(sort_keys=True, indent=2)``'s; ``pad`` is a
+    newline plus the indentation of the line ``value`` starts on.  A
+    ``Fraction`` is a ``{"den": ..., "num": ...}`` object and mapping keys
+    are rendered with ``str`` and sorted.  Ints go through
+    ``int.__repr__``, which raises ``ValueError`` past
+    ``sys.get_int_max_str_digits()``.
+    """
+    kind = _KINDS.get(value.__class__)
+    if kind is None:
+        kind, value = _kind(value)
+    if kind == _FRACTION:
+        inner = pad + "  "
+        out(
+            f'{{{inner}"den": {int.__repr__(value.denominator)},'
+            f'{inner}"num": {int.__repr__(value.numerator)}{pad}}}'
+        )
+    elif kind == _STR:
+        out(_quote(value))
+    elif kind == _MAP:
+        if not value:
+            out("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        items = {str(k): v for k, v in value.items()}
+        for key in sorted(items):
+            out(f"{sep}{_quote(key)}: ")
+            _write(items[key], inner, out)
+            sep = "," + inner
+        out(pad + "}")
+    elif kind == _LIST:
+        if not value:
+            out("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out(pad + "]")
+    elif kind == _INT:
+        out(int.__repr__(value))
+    elif kind == _BOOL:
+        out("true" if value else "false")
+    else:
+        out("null")
+
+
 def _emit_json(payload: dict) -> None:
-    payload = dict(payload)
-    payload["schema"] = JSON_SCHEMA
-    print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
+    chunks: list[str] = []
+    _write({**payload, "schema": JSON_SCHEMA}, "\n", chunks.append)
+    print("".join(chunks))
 
 
 def _swf_json(spec: SwfSpec):

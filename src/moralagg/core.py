@@ -105,16 +105,7 @@ def to_rational(value: RationalLike) -> Fraction:
     are inexact and would silently poison credence sums and score
     comparisons.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a rational value")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise TypeError(
-            f"refusing float {value!r}: floats are inexact, pass str, int or Fraction"
-        )
+    # Strings first: a str pays no check against the ``numbers`` ABCs.
     if isinstance(value, str):
         token = value.strip()
         if not _RATIONAL_RE.match(token):
@@ -131,6 +122,16 @@ def to_rational(value: RationalLike) -> Fraction:
         scale = 10 ** len(frac)
         value = int(whole or 0) * scale + int(frac or 0)
         return Fraction(-value if token[0] == "-" else value, scale)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("bool is not a rational value")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise TypeError(
+            f"refusing float {value!r}: floats are inexact, pass str, int or Fraction"
+        )
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
@@ -382,16 +383,25 @@ def validate_framework(
         c = framework.credences[theory.id]
         if not (0 < c.numerator <= c.denominator):
             raise CredenceOutOfRange(theory.id, c)
-    # The sum in integers over the lcm of the denominators.
+    den, weights = _credence_weights(framework)
+    for theory in framework.theories:
+        for action in actions:
+            if action not in theory.evaluations:
+                raise MissingEvaluation(theory.id, action)
+    return den, weights
+
+
+def _credence_weights(framework: EthicalFramework) -> tuple[int, list[int]]:
+    """``(den, weights)`` as :func:`validate_framework` returns them.
+
+    The credence sum is taken in integers over the lcm of the
+    denominators; raises :class:`CredenceSumNotOne` unless it is 1.
+    """
     credences = framework.credences.values()
     den = math.lcm(*(c.denominator for c in credences))
     weights = [c.numerator * (den // c.denominator) for c in credences]
     if sum(weights) != den:
         raise CredenceSumNotOne(Fraction(sum(weights), den))
-    for theory in framework.theories:
-        for action in actions:
-            if action not in theory.evaluations:
-                raise MissingEvaluation(theory.id, action)
     return den, weights
 
 
@@ -461,9 +471,7 @@ def extend(
     new_mass = sum((c for _, c in fixed), Fraction(0))
     if fixed and new_mass >= 1:
         raise CredenceMassExceeded(new_mass)
-    old_mass = sum(framework.credences.values(), Fraction(0))
-    if old_mass != 1:
-        raise CredenceSumNotOne(old_mass)
+    _credence_weights(framework)  # the old credences must sum to 1
     scale = 1 - new_mass
     theories = list(framework.theories) + [t for t, _ in fixed]
     credences = {t.id: framework.credences[t.id] * scale for t in framework.theories}

@@ -108,15 +108,6 @@ class _WordError(Exception):
         self.kind = kind
 
 
-def _rational(words: list[str], index: int) -> Fraction:
-    try:
-        return to_rational(words[index])
-    except (ValueError, TypeError):
-        raise _WordError(
-            f"bad rational literal {words[index]!r}", index, NumberFormatError
-        ) from None
-
-
 def _arity(words: list[str], n: int, usage: str) -> None:
     if len(words) != n:
         raise _WordError(f"expected '{usage}'", min(n, len(words) - 1))
@@ -125,18 +116,36 @@ def _arity(words: list[str], n: int, usage: str) -> None:
 class _Parser:
     def __init__(self) -> None:
         self.actions: Optional[list[str]] = None
+        self.declared: set[str] = set()
         self.credences: dict[str, Fraction] = {}
         self.evaluations: dict[str, dict[str, Fraction]] = {}
         self.current: Optional[str] = None
+        self.block: Optional[dict[str, Fraction]] = None
         self.swf: Optional[SwfSpec] = None
         self.any_directive = False
+        # Each distinct literal is converted once per parse; only
+        # successes are kept, so a bad literal is reported where it occurs.
+        self.literals: dict[str, Fraction] = {}
 
     def feed(self, words: list[str]) -> None:
-        handler = getattr(self, f"_on_{words[0]}", None)
+        handler = self._HANDLERS.get(words[0])
         if handler is None:
             raise _WordError(f"unknown directive {words[0]!r}")
-        handler(words)
+        handler(self, words)
         self.any_directive = True
+
+    def _rational(self, words: list[str], index: int) -> Fraction:
+        text = words[index]
+        value = self.literals.get(text)
+        if value is None:
+            try:
+                value = to_rational(text)
+            except (ValueError, TypeError):
+                raise _WordError(
+                    f"bad rational literal {text!r}", index, NumberFormatError
+                ) from None
+            self.literals[text] = value
+        return value
 
     def _on_scenario(self, words: list[str]) -> None:
         if self.any_directive:
@@ -160,6 +169,7 @@ class _Parser:
                 )
             seen.add(action)
         self.actions = words[1:]
+        self.declared = seen
 
     def _on_theory(self, words: list[str]) -> None:
         if self.actions is None:
@@ -170,27 +180,28 @@ class _Parser:
             raise _WordError("expected 'theory <id> credence <rational>'", 2)
         if name in self.credences:
             raise _WordError(f"duplicate theory {name!r}", 1, ValidationError)
-        self.credences[name] = _rational(words, 3)
-        self.evaluations[name] = {}
+        self.credences[name] = self._rational(words, 3)
+        self.evaluations[name] = self.block = {}
         self.current = name
 
     def _on_eval(self, words: list[str]) -> None:
-        if self.current is None:
+        block = self.block
+        if block is None:
             raise _WordError("eval before any theory declaration")
-        _arity(words, 3, "eval <action> <rational>")
+        if len(words) != 3:
+            _arity(words, 3, "eval <action> <rational>")
         action = words[1]
-        if action not in self.actions:
+        if action not in self.declared:
             raise _WordError(
                 f"evaluation of undeclared action {action!r}", 1, ValidationError
             )
-        block = self.evaluations[self.current]
         if action in block:
             raise _WordError(
                 f"duplicate evaluation of {action!r} by {self.current!r}",
                 1,
                 ValidationError,
             )
-        block[action] = _rational(words, 2)
+        block[action] = self._rational(words, 2)
 
     def _on_swf(self, words: list[str]) -> None:
         if self.swf is not None:
@@ -211,7 +222,7 @@ class _Parser:
             )
         if words[2] != "k":
             raise _WordError("expected 'k' after 'swf kthm'", 2)
-        k = _rational(words, 3)
+        k = self._rational(words, 3)
         mode = TrimMode.LITERAL
         if len(words) == 6:
             if words[4] != "trim":
@@ -224,6 +235,15 @@ class _Parser:
             self.swf = SwfSpec.kthm(k, mode)
         except InvalidSpec as exc:
             raise _WordError(str(exc), 0, ValidationError) from exc
+
+    # Directive word to handler; a word with no entry is an unknown directive.
+    _HANDLERS = {
+        "scenario": _on_scenario,
+        "actions": _on_actions,
+        "theory": _on_theory,
+        "eval": _on_eval,
+        "swf": _on_swf,
+    }
 
     def finish(self) -> ScenarioDocument:
         if self.actions is None:

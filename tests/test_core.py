@@ -2,7 +2,9 @@ import ast
 import copy
 import dataclasses
 import importlib
+import math
 import pickle
+import random
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -71,6 +73,49 @@ class TestToRational:
     def test_malformed_strings_rejected(self, bad):
         with pytest.raises(ValueError):
             to_rational(bad)
+
+
+class _Word(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Exact(F):
+    pass
+
+
+class TestToRationalMessages:
+    @pytest.mark.parametrize(
+        "value, kind, message",
+        [
+            (True, TypeError, "bool is not a rational value"),
+            (False, TypeError, "bool is not a rational value"),
+            (
+                0.5,
+                TypeError,
+                "refusing float 0.5: floats are inexact, pass str, int or Fraction",
+            ),
+            (None, TypeError, "cannot interpret NoneType as a rational"),
+            ([1], TypeError, "cannot interpret list as a rational"),
+            (b"1/2", TypeError, "cannot interpret bytes as a rational"),
+            ("1e3", ValueError, "not an exact rational literal: '1e3'"),
+            (_Word("x"), ValueError, "not an exact rational literal: 'x'"),
+        ],
+    )
+    def test_rejections(self, value, kind, message):
+        with pytest.raises(kind) as raised:
+            to_rational(value)
+        assert type(raised.value) is kind
+        assert str(raised.value) == message
+
+    def test_subclasses_of_str_int_and_fraction(self):
+        assert outcome(to_rational, _Word(" 3/4 ")) == (F, F(3, 4))
+        assert outcome(to_rational, _Count(7)) == (F, F(7))
+        exact = _Exact(2, 6)
+        assert to_rational(exact) is exact
 
 
 _LITERAL = re.compile(r"[+-]?(?:\d+/[1-9]\d*|\d+\.\d*|\.\d+|\d+)\Z")
@@ -575,6 +620,38 @@ class TestExtend:
         with pytest.raises(CredenceSumNotOne) as raised:
             extend(base, [])
         assert raised.value.total == sum(map(F, credences))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_old_credence_sum_matches_the_fraction_sum(self, seed):
+        # Seeded credences that sum to 1, or miss it by one part in the
+        # lcm of their denominators, checked against the Fraction sum.
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        dens = [
+            rng.choice((rng.randint(1, 60), rng.randint(2, 10**12))) for _ in range(n)
+        ]
+        credences = [F(rng.randint(1, d), d * n) for d in dens[:-1]]
+        credences.append(1 - sum(credences, F(0)))
+        lcm = math.lcm(*(c.denominator for c in credences))
+        off = (0, F(1, lcm), F(-1, lcm))[seed % 3]
+        credences[-1] += off
+        names = [f"t{i}" for i in range(n)]
+        base = EthicalFramework(
+            [Theory(name, {"a": i}) for i, name in enumerate(names)],
+            dict(zip(names, credences)),
+        )
+        total = sum(credences, F(0))
+        assert total == 1 + off
+        new = [(Theory("new", {"a": 0}), F(1, 7))]
+        if off == 0:
+            out = extend(base, new)
+            expected = {name: c * F(6, 7) for name, c in zip(names, credences)}
+            assert out.credences == {**expected, "new": F(1, 7)}
+            return
+        with pytest.raises(CredenceSumNotOne) as raised:
+            extend(base, new)
+        assert raised.value.total == total
+        assert str(raised.value) == str(CredenceSumNotOne(total))
 
     def test_new_credence_must_be_strictly_inside_unit_interval(self):
         base = EthicalFramework([Theory("t1", {"a": 0})], {"t1": 1})

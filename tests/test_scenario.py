@@ -18,6 +18,7 @@ from moralagg import (
     aggregate,
     parse_scenario,
     serialize_scenario,
+    to_rational,
 )
 
 import strategies
@@ -260,6 +261,71 @@ class TestNumberErrors:
             NumberFormatError,
             3,
             10,
+        )
+
+
+class TestLiteralsAndDirectiveWords:
+    """Each distinct literal is converted once per parse; errors keep their place."""
+
+    @staticmethod
+    def repeated(n):
+        lines = ["actions a b"]
+        for i in range(n):
+            lines += [f"theory t{i} credence 1/{n}", "  eval a -3/7", "  eval b 12.5"]
+        return lines
+
+    def test_bad_evaluation_after_many_good_copies_keeps_its_position(self):
+        lines = self.repeated(40) + ["theory u credence 1/40", "  eval a   -3/0"]
+        expect_error(
+            "\n".join(lines) + "\n",
+            NumberFormatError,
+            len(lines),
+            12,
+            "bad rational literal '-3/0'",
+        )
+
+    def test_bad_credence_after_many_good_copies_keeps_its_position(self):
+        lines = self.repeated(40) + ["theory u credence 1/40.", "  eval a -3/7"]
+        expect_error(
+            "\n".join(lines) + "\n",
+            NumberFormatError,
+            len(lines) - 1,
+            19,
+            "bad rational literal '1/40.'",
+        )
+
+    def test_a_bad_literal_is_reported_at_each_parse(self):
+        text = "actions a\ntheory t credence 1\n  eval a 1/0\n"
+        for _ in range(2):
+            expect_error(text, NumberFormatError, 3, 10)
+
+    def test_repeated_literals_parse_equal_to_their_first_parse(self):
+        words = ["1/4", "0.25", "-0", "+3", "007/10", "-.5", "1/4", "0.25"]
+        lines = ["actions " + " ".join(f"x{j}" for j in range(len(words)))]
+        for i in range(4):
+            lines.append(f"theory t{i} credence 0.25")
+            for j in range(len(words)):
+                lines.append(f"  eval x{j} {words[(i + j) % len(words)]}")
+        doc = parse_scenario("\n".join(lines) + "\n")
+        assert set(doc.framework.credences.values()) == {F(1, 4)}
+        for i, theory in enumerate(doc.framework.theories):
+            for j in range(len(words)):
+                value = theory.evaluations[f"x{j}"]
+                assert type(value) is F
+                assert value == to_rational(words[(i + j) % len(words)])
+
+    @pytest.mark.parametrize(
+        "word",
+        ["__init__", "_on_eval", "on_eval", "feed", "finish", "_rational",
+         "_HANDLERS", "literals", "__class__", "Eval", "eval:"],
+    )
+    def test_parser_names_are_unknown_directives(self, word):
+        expect_error(
+            f"actions a\n{word} a 1\n",
+            ScenarioSyntaxError,
+            2,
+            1,
+            f"unknown directive {word!r}",
         )
 
 
