@@ -14,15 +14,13 @@ same compile that :func:`~moralagg.functionals.aggregate` reads.  A
 subset is then a bitmask over the declared theories, and the compile
 keys it by the dense ranks of one integer score per action.  Every
 ranking here and in :func:`aggregate` comes from one grouping rule, in
-:mod:`moralagg.core`.  A single check keys its three masks by scanning
-the rows.  Enumeration keys no mask until it reports one: a pair of a
-subset and its complement is reported exactly when one side ranks like
-the full framework and the other does not, so it only asks, of every
-mask, whether it does.  The compile answers that for whole blocks of
-masks at once (:meth:`~moralagg.functionals._Compiled.blocks`), from
-``O(2^(n/2))`` table entries per action.  Keys and ``Ranking``
-objects are built only for the subsets it reports, one ranking per
-distinct ranking of their complements.
+:mod:`moralagg.core`.  A subset and its complement are two sides of one
+split, and at most one side of a split can be dominant: one that ranks
+like the full framework while the other side does not.  Enumeration asks
+the compile for exactly those sides
+(:meth:`~moralagg.functionals._Compiled.sides`), with each side's
+credence and its complement's key, and builds rankings only for the
+subsets it reports, one per distinct ranking of their complements.
 
 A functional is *fanatical* at credence level k when every framework can
 be captured this way by newly added theories of total credence at most k.
@@ -41,8 +39,6 @@ returned; a construction that fails verification raises
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
-from operator import ne
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
@@ -212,21 +208,16 @@ def enumerate_dominant_subsets(
     All nonempty proper subsets are checked, so the work is exponential
     in the number of theories; frameworks larger than ``max_theories``
     are rejected up front with :class:`TooManyTheories`.  The framework
-    is validated and compiled once.  Each subset and its complement are
-    then visited together, once.  A side is reported when it ranks like
-    the full framework and the other side does not: if both did, their
-    rankings would be equal.  So the compile only tests each mask
-    against the full framework's key, a whole block of masks at a time,
-    and a block and the block of its complements are read together.
-    Their tables and columns hold ``O(actions * 2^(n/2))`` entries, not
-    ``O(2^n)``, and nothing outlives the call but the results.  A
-    reported side gets the verdict :func:`is_dominant_subset` would
-    give, one verdict shared by every side whose complement ranks alike
-    (the complement's key, the dense ranks of its scores, is the only
-    key taken per subset), and its credence from the compile's integer
-    weights.  Results are ordered by subset size, then lexicographically
-    by ids.  A valid framework of fewer than two theories has no
-    nonempty proper subset and gives ``[]``.
+    is validated and compiled once.  A subset is dominant exactly when
+    it ranks like the full framework and its complement does not: were
+    both alike, their rankings would be equal.  So the compile reports
+    those sides, with their credences and their complements' keys, and
+    nothing outlives the call but the results.  Each reported side gets
+    the verdict :func:`is_dominant_subset` would give, one verdict
+    shared by every side whose complement ranks alike.  Results are
+    ordered by subset size, then lexicographically by ids.  A valid
+    framework of fewer than two theories has no nonempty proper subset
+    and gives ``[]``.
     """
     n = len(framework.theories)
     if n > max_theories:
@@ -236,34 +227,17 @@ def enumerate_dominant_subsets(
         return []
     full_key = compiled.key(compiled.everyone)
     full = _ranking(actions, full_key)
-    size, block = compiled.blocks(full_key)
-    low = size - 1
-    top = (1 << n) // size - 1
     bits = list(zip(framework.theory_ids(), compiled.bits))
     verdicts: dict[tuple[int, ...], DominanceVerdict] = {}
     found: list[tuple[tuple[int, list[TheoryId]], DominantSubset]] = []
-    # Blocks without the top bit meet every {subset, complement} pair once:
-    # the complement of index a in block b is index low ^ a in block top ^ b.
-    for b in range(top // 2 + 1):
-        mine, theirs = block(b), block(top ^ b)
-        for a in compress(range(size), map(ne, mine.flags, reversed(theirs.flags))):
-            if not (a or b):
-                continue  # the empty mask, whose flag means nothing
-            if mine.flags[a]:
-                members, mass = b * size + a, mine.mass(a)
-                rest = theirs.key(low ^ a)
-            else:
-                members, mass = (top ^ b) * size + (low ^ a), theirs.mass(low ^ a)
-                rest = mine.key(a)
-            verdict = verdicts.get(rest)
-            if verdict is None:
-                verdict = DominanceVerdict(True, full, full, _ranking(actions, rest))
-                verdicts[rest] = verdict
-            combo = sorted(tid for tid, bit in bits if members & bit)
-            credence = Fraction(mass, compiled.den)
-            subset = DominantSubset(frozenset(combo), credence, verdict)
-            found.append(((len(combo), combo), subset))
-        del mine, theirs  # so that two blocks are alive at a time, not four
+    for mask, mass, rest in compiled.sides(full_key):
+        verdict = verdicts.get(rest)
+        if verdict is None:
+            verdict = DominanceVerdict(True, full, full, _ranking(actions, rest))
+            verdicts[rest] = verdict
+        combo = sorted(tid for tid, bit in bits if mask & bit)
+        subset = DominantSubset(frozenset(combo), Fraction(mass, compiled.den), verdict)
+        found.append(((len(combo), combo), subset))
     found.sort(key=lambda entry: entry[0])
     return [subset for _, subset in found]
 

@@ -19,8 +19,9 @@ scores each rule over whole blocks of subsets from subset tables, and
 tests a block against the full ranking by comparing columns.
 :func:`aggregate`, the per-action functions and the dominance checks,
 witnesses and probes of :mod:`moralagg.fanaticism` read it; its integer
-form stays in this module, and other modules ask it for keys, masses,
-exact scores and trimmed theory ids.
+form and its block layout stay in this module, and other modules ask it
+for keys, masses, the subsets that rank like the full framework while
+their complements do not, exact scores and trimmed theory ids.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress, repeat
 from math import inf, lcm
-from operator import add, and_, eq, itemgetter, lt, mul
-from typing import Callable, Optional, Sequence, Union
+from operator import add, and_, eq, itemgetter, lt, mul, ne
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .core import (
     ActionId,
@@ -138,8 +139,9 @@ class _Compiled:
       theory in a subset mask, and ``everyone`` is the mask of them all;
     - ``key(mask)``, a nonempty subset's ranking as ``core._dense_ranks``
       gives it, and ``mass(mask)``, which over ``den`` is its credence;
-    - :meth:`blocks`, which masks have a given key and their masses,
-      one block of masks at a time, for a caller that visits every mask;
+    - :meth:`sides`, every mask that has a given key while its
+      complement does not, with its mass and the complement's key, for a
+      caller that visits every mask;
     - :meth:`exact`, the full framework's scores; :meth:`shed`, the ids
       the trim drops; :meth:`spread`, the ``kthm`` ladder's bound;
     - ``actions`` and ``spec``, as given.
@@ -170,11 +172,11 @@ class _Compiled:
 
     ``key`` and ``mass`` scan every row of a mask, which suits the one
     to three masks that :func:`aggregate`, a dominance check or a
-    witness keys, at any number of theories.  :meth:`blocks` spends
+    witness keys, at any number of theories.  :meth:`sides` spends
     ``O(actions * 2^(n/2))`` memory on ``n`` theories to score a whole
-    block of masks per action at once, and to test each block against
-    one key by comparing columns instead of sorting a key per mask; only
-    enumeration, which visits all ``2^n``, builds them.
+    block of masks per action at once (:meth:`blocks`), and to test each
+    block against one key by comparing columns instead of sorting a key
+    per mask; only enumeration, which visits all ``2^n``, builds them.
 
     The compile holds no reference to itself, so it is freed as soon as
     its caller drops it, without waiting for the cycle collector.
@@ -305,21 +307,21 @@ class _Compiled:
             hi -= 1
         return lo, hi, low + high
 
-    def blocks(self, full: Sequence[int]) -> tuple[int, Callable[[int], "_Block"]]:
+    def blocks(self, full: Sequence[int]) -> tuple[list[int], Callable]:
         """Every mask tested against the key ``full``, one block at a time.
 
-        This is for a caller that visits every mask, as
-        :func:`~moralagg.fanaticism.enumerate_dominant_subsets` does.  The
-        ``n`` theory bits split into the ``h`` low ones and the rest:
+        The ``n`` theory bits split into the ``h`` low ones and the rest:
         ``h = n // 2``, or ``(n - 1) // 2`` for ``kthm``, which keeps two
         tables per action and, renormalized, two columns.  Block ``b``
-        holds the ``2^h`` masks ``a | b << h``, and ``block(b)`` builds it
-        (:class:`_Block`); this returns ``2^h`` and ``block``.  A block
-        has one column per action, the action's score at every low index
-        ``a``.  A sum over the low bits is a lookup in a subset table
-        (:func:`_subset_table`); the high bits are fixed in a block, so
-        their part is folded once and joined to every entry.  The weights
-        give the masses.  Per action:
+        holds the ``2^h`` masks ``a | b << h``.  This returns the low
+        indices' masses and ``block``; ``block(b)`` returns the flags, the
+        high half's mass and the columns, one per action (renormalized
+        ``kthm``: a pair, survivor sums and masses), each indexed by
+        ``a``.  ``flags[a]`` says whether mask ``a | b << h`` has the key
+        ``full``, and :func:`_key_at` reads its key.  A sum over the low
+        bits is a lookup in a subset table (:func:`_subset_table`); the
+        high bits are fixed in a block, so their part is folded once and
+        joined to every entry.  Per action:
 
         - ``mec`` sums each theory's ``weight * value``;
         - ``maximin`` takes the least value, from tables of minima whose
@@ -468,9 +470,38 @@ class _Compiled:
                 else:
                     step = map(same, out[i], out[j])
                 flags = map(and_, flags, step)
-            return _Block(list(flags), mass_lo, y, out, renormalized)
+            return list(flags), y, out
 
-        return 1 << h, block
+        return mass_lo, block
+
+    def sides(self, full: Sequence[int]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """Each mask with the key ``full`` whose complement has another key.
+
+        It yields ``(mask, mass, key)``, with the complement's key.  The
+        complement of index ``a`` in block ``b`` of :meth:`blocks` is
+        index ``low ^ a`` in block ``top ^ b``, for ``low`` and ``top``
+        all ones, so the blocks without the top bit meet every pair of
+        a nonempty proper subset and its complement once, two blocks at a
+        time.  Index 0 of block 0 is the empty mask, whose flag means
+        nothing.  Only the complements of yielded masks are keyed.
+        """
+        masses, block = self.blocks(full)
+        size = len(masses)
+        low, top = size - 1, (self.everyone + 1) // size - 1
+        renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
+        for b in range(top // 2 + 1):
+            (flags, y, mine), (their_flags, z, theirs) = block(b), block(top ^ b)
+            for a in compress(range(size), map(ne, flags, reversed(their_flags))):
+                if not (a or b):
+                    continue
+                c = low ^ a
+                if flags[a]:
+                    key = _key_at(theirs, c, renormalized)
+                    yield b * size + a, masses[a] + y, key
+                else:
+                    key = _key_at(mine, a, renormalized)
+                    yield (top ^ b) * size + c, masses[c] + z, key
+            del flags, mine, their_flags, theirs  # two blocks alive at a time, not four
 
     def shed(self, action: ActionId) -> tuple[frozenset, frozenset]:
         """The ids the trim drops from ``action``: low side, high side."""
@@ -514,39 +545,11 @@ class _Compiled:
     }
 
 
-class _Block:
-    """The masks ``a | b << h`` of one block of :meth:`_Compiled.blocks`.
-
-    ``flags[a]`` says whether the mask at low index ``a`` has the key
-    the blocks test against, and :meth:`mass` and :meth:`key` give its
-    ``_Compiled.mass`` and ``_Compiled.key``.  ``columns`` holds each
-    action's scores by low index, or for renormalized ``kthm`` its
-    survivor sums and masses, two columns.  The low-half mass table is
-    shared by every block; a block adds its high half's mass.
-    """
-
-    def __init__(
-        self,
-        flags: list[bool],
-        mass_lo: list[int],
-        mass_hi: int,
-        columns: list,
-        renormalized: bool,
-    ):
-        self.flags = flags
-        self.mass_lo = mass_lo
-        self.mass_hi = mass_hi
-        self.columns = columns
-        self.renormalized = renormalized
-
-    def mass(self, a: int) -> int:
-        return self.mass_lo[a] + self.mass_hi
-
-    def key(self, a: int) -> tuple[int, ...]:
-        if self.renormalized:
-            survivors = [(totals[a], kept[a]) for totals, kept in self.columns]
-            return _dense_ranks(_renormalize(survivors))
-        return _dense_ranks([column[a] for column in self.columns])
+def _key_at(columns: list, a: int, renormalized: bool) -> tuple[int, ...]:
+    """The key of the mask at low index ``a`` of a block with ``columns``."""
+    if renormalized:
+        return _dense_ranks(_renormalize([(t[a], m[a]) for t, m in columns]))
+    return _dense_ranks([column[a] for column in columns])
 
 
 def _renormalize(survivors: list[tuple[int, int]]) -> list[int]:

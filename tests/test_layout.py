@@ -15,8 +15,9 @@
   traced entry point.
 - The integer compile's form belongs to ``functionals``: no other module
   in ``src/moralagg`` takes the attribute ``rows``, ``scale``, ``score``,
-  ``trim`` or ``weights``.  They ask ``_Compiled`` for keys, masses,
-  exact scores and theory ids instead.
+  ``trim`` or ``weights``, nor those of its block layout, ``blocks``,
+  ``flags`` or ``columns``.  They ask ``_Compiled`` for keys, masses,
+  dominant sides, exact scores and theory ids instead.
 """
 
 import ast
@@ -127,7 +128,7 @@ def test_no_module_imports_dataclasses():
 
 
 def test_only_functionals_reads_the_integer_form():
-    private = {"rows", "scale", "score", "trim", "weights"}
+    private = {"rows", "scale", "score", "trim", "weights", "blocks", "flags", "columns"}
     readers = sorted(
         f"{path.name}:{node.attr}"
         for path in SOURCE.glob("*.py")

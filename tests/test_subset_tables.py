@@ -1,6 +1,7 @@
 """Block enumeration against the per-mask path and the plain reference.
 
-:func:`enumerate_dominant_subsets` walks the masks one block at a time
+:func:`enumerate_dominant_subsets` reads the sides that ``_Compiled.sides``
+reports, and that walks the masks one block at a time
 (``_Compiled.blocks``): each action's scores over every low index of a
 block, one column each, read from subset tables over the low theory
 bits, and a chain of column comparisons that says which masks rank like
@@ -14,8 +15,8 @@ plus ``kthm`` at 0, 1/7 and 49/100 in both modes:
   from ``restrict`` plus ``reference.py``;
 - at 11 to 14 theories, every mask's flag, mass and key, dense-ranked
   from its block's columns, against ``_Compiled.key`` and
-  ``_Compiled.mass``, and the enumeration against a walk of those
-  per-mask keys;
+  ``_Compiled.mass``, and the reported sides and the enumeration
+  against a walk of those per-mask keys;
 - on built frameworks with uniform and with dyadic credences, where the
   sorted rows of many masks reach exactly half the mask's weight, so
   that ``hm`` averages two rows;
@@ -86,31 +87,39 @@ def reference_enumeration(spec, framework, actions):
 
 def assert_tables_match_per_mask(spec, framework, actions):
     """Every block's flags, masses and keys equal ``_Compiled``'s on every
-    mask, and the enumeration equals a walk of the per-mask keys."""
+    mask, and the reported sides and the enumeration equal a walk of the
+    per-mask keys."""
     compiled = _Compiled(spec, framework, actions)
     everyone = compiled.everyone
+    renormalized = spec.trim_mode is TrimMode.RENORMALIZED
     keys = {everyone: compiled.key(everyone)}
-    size, block = compiled.blocks(keys[everyone])
+    masses, block = compiled.blocks(keys[everyone])
+    size = len(masses)
     for b in range((everyone + 1) // size):
-        built = block(b)
-        assert len(built.flags) == size
+        flags, high, columns = block(b)
+        assert len(flags) == size
         for a in range(size):
             mask = b * size + a
             if not mask:
                 continue
             keys[mask] = compiled.key(mask)
-            assert built.key(a) == keys[mask], mask
-            assert built.flags[a] == (keys[mask] == keys[everyone]), mask
-            assert built.mass(a) == compiled.mass(mask), mask
+            assert functionals._key_at(columns, a, renormalized) == keys[mask], mask
+            assert flags[a] == (keys[mask] == keys[everyone]), mask
+            assert masses[a] + high == compiled.mass(mask), mask
     full = _ranking(actions, keys[everyone])
     ids = list(zip(framework.theory_ids(), compiled.bits))
     walked = []
+    reported = {}
     for mask in range(1, everyone):
         if keys[mask] == keys[everyone] != keys[everyone ^ mask]:
+            reported[mask] = (compiled.mass(mask), keys[everyone ^ mask])
             combo = sorted(tid for tid, bit in ids if mask & bit)
             yielding = _ranking(actions, keys[everyone ^ mask])
             credence = F(compiled.mass(mask), compiled.den)
             walked.append(((len(combo), combo), (frozenset(combo), credence, full, full, yielding)))
+    sides = [(mask, (mass, rest)) for mask, mass, rest in compiled.sides(keys[everyone])]
+    assert len(sides) == len(reported)
+    assert dict(sides) == reported
     walked.sort(key=lambda entry: entry[0])
     got = fields(enumerate_dominant_subsets(spec, framework, actions))
     assert got == [row for _, row in walked]
@@ -206,35 +215,41 @@ def table_sizes(monkeypatch):
     return sizes
 
 
-def block_entries(block):
-    """The entries a block holds: its flags and every column."""
-    columns = block.columns
-    if block.renormalized:
-        columns = [column for pair in columns for column in pair]
-    return len(block.flags) + sum(map(len, columns))
+class Tracked(list):
+    """A list that a weak reference can follow."""
 
 
 @pytest.fixture
 def live_block_entries(monkeypatch):
     """After each block is built, the entries of all blocks then alive.
 
-    The test runs with ``gc`` off, so a block is alive exactly until its
+    Each block is handed on with its flags and every column copied into
+    a ``Tracked`` list, and a block's entries are those lists' lengths.
+    The test runs with ``gc`` off, so a list is alive exactly until its
     last reference goes.
     """
     counts = []
-    live = weakref.WeakSet()
+    live = []
     original = _Compiled.blocks
 
     def blocks(self, full):
-        size, block = original(self, full)
+        masses, block = original(self, full)
+        renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
 
         def counting(b):
-            built = block(b)
-            live.add(built)
-            counts.append(sum(map(block_entries, live)))
-            return built
+            flags, high, columns = block(b)
+            flags = Tracked(flags)
+            if renormalized:
+                columns = [tuple(map(Tracked, pair)) for pair in columns]
+                held = [column for pair in columns for column in pair]
+            else:
+                columns = held = list(map(Tracked, columns))
+            live.extend(map(weakref.ref, [flags, *held]))
+            live[:] = [ref for ref in live if ref() is not None]
+            counts.append(sum(len(ref()) for ref in live))
+            return flags, high, columns
 
-        return size, counting
+        return masses, counting
 
     monkeypatch.setattr(_Compiled, "blocks", blocks)
     gc.disable()
