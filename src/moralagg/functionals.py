@@ -458,7 +458,7 @@ class _Compiled:
                     out.append((totals, kept) if renormalized else totals)
                 return out
 
-        def block(b: int) -> _Block:
+        def block(b: int) -> tuple[list[bool], int, list]:
             high = [b >> j & 1 for j in range(n - h)]
             y = sum(compress(mass_hi, high))
             out = columns(high, list(map(add, mass_lo, repeat(y))))

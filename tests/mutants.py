@@ -13,12 +13,11 @@ into a temporary directory, applies the one replacement there and runs
 It prints, for each entry, killed or survived, the test that killed it
 and the time taken.  The unmutated copy is run first, and must pass.
 
-Run from anywhere, with no arguments for the whole catalogue or with
-entry names for some of it::
+Run from anywhere; it runs the whole catalogue::
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 
-The exit status is 0 when every entry run is killed.  It is 1 when one
+The exit status is 0 when every entry is killed.  It is 1 when one
 survives, when the unmutated copy fails, or when an entry's old text no
 longer occurs exactly once: the catalogue must move with the code.  An
 entry leaves the catalogue only when its code is deleted, or with a
@@ -232,13 +231,8 @@ def run(mutant) -> tuple[str, str, float]:
     return "failed", first, took
 
 
-def main(names: list[str]) -> int:
-    unknown = sorted(set(names) - MUTANTS.keys())
-    if unknown:
-        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
-        return 1
-    chosen = {name: MUTANTS[name] for name in names or MUTANTS}
-    stale = check(chosen)
+def main() -> int:
+    stale = check(MUTANTS)
     if stale:
         print("\n".join(stale), file=sys.stderr)
         return 1
@@ -247,14 +241,14 @@ def main(names: list[str]) -> int:
     if outcome != "passed":
         return 1
     survived = 0
-    for name, mutant in chosen.items():
+    for name, mutant in MUTANTS.items():
         outcome, test, took = run(mutant)
         verdict = "survived" if outcome == "passed" else "killed"
         survived += outcome == "passed"
         print(f"{name:20} {verdict:9} {took:6.1f} s {test}", flush=True)
-    print(f"{len(chosen) - survived} of {len(chosen)} killed")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} killed")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
