@@ -493,13 +493,13 @@ def ranking_from_scores(scores: ScoreTable) -> Ranking:
 def _dense_ranks(scores: Sequence) -> tuple[int, ...]:
     """Each score's place among the distinct scores: equal iff same ranking.
 
-    The one rule that groups scores; sorting avoids hashing ``Fraction``s.
+    The one rule that groups scores, through one sort of the distinct
+    scores.  The tuple is built at its final size: ``tuple()`` over a
+    ``map`` guesses a length and resizes, which allocates a fresh tuple
+    on every call and so speeds up the collector's young generation.
     """
-    order = sorted(range(len(scores)), key=scores.__getitem__)
-    ranks = [0] * len(scores)
-    for prev, cur in zip(order, order[1:]):
-        ranks[cur] = ranks[prev] + (scores[cur] != scores[prev])
-    return tuple(ranks)
+    distinct = sorted(set(scores))
+    return (*map(distinct.index, scores),)
 
 
 def _ranking(actions: Iterable[ActionId], ranks: Sequence[int]) -> Ranking:

@@ -18,9 +18,10 @@ ranking here and in :func:`aggregate` comes from one grouping rule, in
 split, and at most one side of a split can be dominant: one that ranks
 like the full framework while the other side does not.  Enumeration asks
 the compile for exactly those sides
-(:meth:`~moralagg.functionals._Compiled.sides`), with each side's
-credence and its complement's key, and builds rankings only for the
-subsets it reports, one per distinct ranking of their complements.
+(:meth:`~moralagg.functionals._Compiled.sides`), with each side's ids,
+credence, place in the result order and its complement's key, and
+builds rankings only for the subsets it reports, one per distinct
+ranking of their complements.
 
 A functional is *fanatical* at credence level k when every framework can
 be captured this way by newly added theories of total credence at most k.
@@ -211,13 +212,13 @@ def enumerate_dominant_subsets(
     is validated and compiled once.  A subset is dominant exactly when
     it ranks like the full framework and its complement does not: were
     both alike, their rankings would be equal.  So the compile reports
-    those sides, with their credences and their complements' keys, and
-    nothing outlives the call but the results.  Each reported side gets
-    the verdict :func:`is_dominant_subset` would give, one verdict
-    shared by every side whose complement ranks alike.  Results are
-    ordered by subset size, then lexicographically by ids.  A valid
-    framework of fewer than two theories has no nonempty proper subset
-    and gives ``[]``.
+    those sides, with their ids, credences, order keys and their
+    complements' keys, and nothing outlives the call but the results.
+    Each reported side gets the verdict :func:`is_dominant_subset` would
+    give, one verdict shared by every side whose complement ranks alike.
+    Results are ordered by subset size, then lexicographically by ids:
+    by the order keys, in one sort.  A valid framework of fewer than two
+    theories has no nonempty proper subset and gives ``[]``.
     """
     n = len(framework.theories)
     if n > max_theories:
@@ -227,19 +228,16 @@ def enumerate_dominant_subsets(
         return []
     full_key = compiled.key(compiled.everyone)
     full = _ranking(actions, full_key)
-    bits = list(zip(framework.theory_ids(), compiled.bits))
+    den = compiled.den
     verdicts: dict[tuple[int, ...], DominanceVerdict] = {}
-    found: list[tuple[tuple[int, list[TheoryId]], DominantSubset]] = []
-    for mask, mass, rest in compiled.sides(full_key):
+    found: dict[int, DominantSubset] = {}
+    for ids, mass, order, rest in compiled.sides(full_key):
         verdict = verdicts.get(rest)
         if verdict is None:
             verdict = DominanceVerdict(True, full, full, _ranking(actions, rest))
             verdicts[rest] = verdict
-        combo = sorted(tid for tid, bit in bits if mask & bit)
-        subset = DominantSubset(frozenset(combo), Fraction(mass, compiled.den), verdict)
-        found.append(((len(combo), combo), subset))
-    found.sort(key=lambda entry: entry[0])
-    return [subset for _, subset in found]
+        found[order] = DominantSubset(ids, Fraction(mass, den), verdict)
+    return [found[order] for order in sorted(found)]
 
 
 def _fresh_theory_id(taken: Iterable[TheoryId], base: str = "ft") -> TheoryId:

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import reduce
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from math import inf, lcm
-from operator import add, and_, eq, itemgetter, lt, mul, ne
+from operator import add, and_, eq, itemgetter, lt, mul, or_, sub
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .core import (
@@ -139,9 +138,9 @@ class _Compiled:
       theory in a subset mask, and ``everyone`` is the mask of them all;
     - ``key(mask)``, a nonempty subset's ranking as ``core._dense_ranks``
       gives it, and ``mass(mask)``, which over ``den`` is its credence;
-    - :meth:`sides`, every mask that has a given key while its
-      complement does not, with its mass and the complement's key, for a
-      caller that visits every mask;
+    - :meth:`sides`, every subset that has a given key while its
+      complement does not, as its ids, its mass, an order key and the
+      complement's key, for a caller that visits every subset;
     - :meth:`exact`, the full framework's scores; :meth:`shed`, the ids
       the trim drops; :meth:`spread`, the ``kthm`` ladder's bound;
     - ``actions`` and ``spec``, as given.
@@ -174,9 +173,10 @@ class _Compiled:
     to three masks that :func:`aggregate`, a dominance check or a
     witness keys, at any number of theories.  :meth:`sides` spends
     ``O(actions * 2^(n/2))`` memory on ``n`` theories to score a whole
-    block of masks per action at once (:meth:`blocks`), and to test each
-    block against one key by comparing columns instead of sorting a key
-    per mask; only enumeration, which visits all ``2^n``, builds them.
+    block of subsets per action at once, in a layout of its own
+    (:meth:`blocks`), and to test each block against one key by
+    comparing columns instead of sorting a key per mask; only
+    enumeration, which visits all ``2^n``, builds them.
 
     The compile holds no reference to itself, so it is freed as soon as
     its caller drops it, without waiting for the cycle collector.
@@ -307,21 +307,29 @@ class _Compiled:
             hi -= 1
         return lo, hi, low + high
 
-    def blocks(self, full: Sequence[int]) -> tuple[list[int], Callable]:
-        """Every mask tested against the key ``full``, one block at a time.
+    def blocks(self) -> tuple[list[int], list[frozenset], Callable]:
+        """Every subset of the theories, scored one block of subsets at a time.
 
-        The ``n`` theory bits split into the ``h`` low ones and the rest:
-        ``h = n // 2``, or ``(n - 1) // 2`` for ``kthm``, which keeps two
-        tables per action and, renormalized, two columns.  Block ``b``
-        holds the ``2^h`` masks ``a | b << h``.  This returns the low
-        indices' masses and ``block``; ``block(b)`` returns the flags, the
-        high half's mass and the columns, one per action (renormalized
-        ``kthm``: a pair, survivor sums and masses), each indexed by
-        ``a``.  ``flags[a]`` says whether mask ``a | b << h`` has the key
-        ``full``, and :func:`_key_at` reads its key.  A sum over the low
-        bits is a lookup in a subset table (:func:`_subset_table`); the
-        high bits are fixed in a block, so their part is folded once and
-        joined to every entry.  Per action:
+        This is the one statement of the enumeration's layout.  The
+        theories take places ``0 .. n - 1`` in descending order of id, so
+        that the theory whose id ranks ``r`` in sorted order sits at place
+        ``n - 1 - r``.  A layout mask over those places splits into its
+        ``h`` low places and the rest: ``h = n // 2``, or ``(n - 1) // 2``
+        for renormalized ``kthm``, which keeps two columns per action.
+        Block ``b`` holds the ``2^h`` layout masks ``a | b << h``.  Each
+        half of a sum (or union, or minimum) over the theories is a
+        lookup in a subset table (:func:`_subset_table`): ``lo[a]`` over
+        the low places, ``hi[b]`` over the high ones.  ``kthm``, whose
+        walks need two tables per action, keeps its high halves as lists
+        and folds them once per block instead, so that the tables and two
+        blocks stay within the memory bound.
+
+        This returns the low tables of the masses and of the ids, and
+        ``block``: ``block(b)`` returns block ``b``'s high mass, the
+        ``frozenset`` of its high ids and the score columns, one per
+        action (renormalized ``kthm``: a pair, survivor sums and masses),
+        each indexed by ``a``; :func:`_alike` tests them against a key and
+        :func:`_key_at` reads one mask's key.  Per action:
 
         - ``mec`` sums each theory's ``weight * value``;
         - ``maximin`` takes the least value, from tables of minima whose
@@ -330,6 +338,8 @@ class _Compiled:
           ``j`` of the action's value order, as :meth:`_sort` keeps it.
           That gives ``p``, the mask re-indexed into that order, whose set
           bits are the masked rows of :meth:`trim`, cut at :meth:`_cap`.
+          The walks look weights, values and products up by place bit
+          from the low end, and by ``p.bit_length()`` from the high end.
           ``kthm`` clears the bits the trim sheds from both ends of ``p``
           and subtracts their ``weight * value`` from the mask's ``mec``
           sum; renormalized, each survivor mass is a second column.
@@ -337,28 +347,23 @@ class _Compiled:
           half cap; at an exact half the row before it is the second
           median row, as :meth:`_hm` argues.
 
-        A mask has the key ``full`` exactly when its scores, in the order
-        ``full`` ranks the actions, form the chain ``full`` does: ``<``
-        between two groups, ``==`` within one.  So a block's flags are
-        ``len(actions) - 1`` comparisons of whole columns, with no sort.
-        Renormalized ``kthm`` compares the means ``t_i / m_i`` and
-        ``t_j / m_j`` as ``t_i * m_j`` against ``t_j * m_i``; every mass
-        is positive.  The tables and a block hold ``O(actions * 2^(n/2))``
-        entries.  Index 0 of block 0 is the empty mask, whose entries
-        mean nothing; its walks stop at once.
+        The tables and two blocks hold ``O(actions * 2^(n/2))`` entries.
+        Index 0 of block 0 is the empty mask, whose entries mean nothing;
+        place bit 0 weighs 1 and is worth 0, so its walks stop at once.
         """
         n = len(self.weights)
         kind = self.spec.kind
-        h = (n - 1) // 2 if kind is SwfKind.KTHM else n // 2
         renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
-        order = sorted(range(len(full)), key=full.__getitem__)
-        links = [
-            (i, j, eq if full[i] == full[j] else lt) for i, j in zip(order, order[1:])
-        ]
+        h = (n - 1) // 2 if renormalized else n // 2
+        ids = [t.id for t in self.theories]
+        layout = sorted(range(n), key=ids.__getitem__, reverse=True)
+        tables = kind is not SwfKind.KTHM
 
         def split(items: list, join: Callable = add, empty=0) -> tuple[list, list]:
-            """A subset table over the low ``h`` items, and the high items."""
-            return _subset_table(items[:h], join, empty), items[h:]
+            """``items`` in layout order: the low table, and the high table or list."""
+            items = [items[i] for i in layout]
+            lo, hi = _subset_table(items[:h], join, empty), items[h:]
+            return lo, _subset_table(hi, join, empty) if tables else hi
 
         def places(rows: list) -> tuple[list, list]:
             placed = [0] * n
@@ -366,7 +371,15 @@ class _Compiled:
                 placed[bit.bit_length() - 1] = 1 << j
             return split(placed)
 
+        def caps(masses: list) -> list:
+            """:meth:`_cap` of each of ``masses``, in one comprehension."""
+            num, den = self.level
+            return [num * m // den for m in masses]
+
+        # Place bit 0 first: by bit length, index j is place j - 1.
+        place_bits = [0] + [1 << j for j in range(n)]
         mass_lo, mass_hi = split(self.weights)
+        ids_lo, ids_hi = split([frozenset({i}) for i in ids], or_, frozenset())
         if kind is SwfKind.MEC or kind is SwfKind.MAXIMIN:
             if kind is SwfKind.MEC:
                 join, empty = add, 0
@@ -374,134 +387,159 @@ class _Compiled:
             else:
                 join, empty = min, inf
                 reads = [[v for _, _, v in rows] for rows in self.rows.values()]
-            tables = [split(items, join, empty) for items in reads]
+            halves = [split(items, join, empty) for items in reads]
 
-            def columns(high: list, masses: list) -> list:
-                out = []
-                for lo, hi in tables:
-                    y = reduce(join, compress(hi, high), empty)
-                    out.append(list(map(join, lo, repeat(y))))
-                return out
+            def block(b: int) -> tuple[int, frozenset, list]:
+                columns = []
+                for lo, hi in halves:
+                    y = hi[b]
+                    if kind is SwfKind.MEC:
+                        columns.append([x + y for x in lo])
+                    else:
+                        columns.append([x if x < y else y for x in lo])
+                return mass_hi[b], ids_hi[b], columns
 
         elif kind is SwfKind.HM:
             orders = [
-                (*places(rows), [w for _, w, _ in rows], [v for _, _, v in rows])
-                for rows in self.rows.values()
-            ]
-
-            def columns(high: list, masses: list) -> list:
-                caps = list(map(self._cap, masses))
-                out = []
-                for place_lo, place_hi, weights, values in orders:
-                    y = sum(compress(place_hi, high))
-                    column = []
-                    for x, whole, cap in zip(place_lo, masses, caps):
-                        p = x | y
-                        walked = before = 0
-                        while True:
-                            bit = p & -p
-                            j = bit.bit_length() - 1
-                            w = weights[j]
-                            if walked + w > cap:
-                                break
-                            walked += w
-                            before = j
-                            p ^= bit
-                        if 2 * walked == whole:
-                            column.append(values[before] + values[j])
-                        else:
-                            column.append(2 * values[j])
-                    out.append(column)
-                return out
-
-        else:
-            # By place: weights and weight * value; by theory, the mec sums.
-            orders = [
                 (
                     *places(rows),
-                    [w for _, w, _ in rows],
-                    [w * v for _, w, v in rows],
-                    *split([w * v for _, w, v in sorted(rows)]),
+                    dict(zip(place_bits, [1] + [w for _, w, _ in rows])),
+                    dict(zip(place_bits, [0] + [v for _, _, v in rows])),
                 )
                 for rows in self.rows.values()
             ]
 
-            def columns(high: list, masses: list) -> list:
-                caps = list(map(self._cap, masses))
-                out = []
-                for place_lo, place_hi, weights, products, sum_lo, sum_hi in orders:
-                    y = sum(compress(place_hi, high))
-                    z = sum(compress(sum_hi, high))
+            def block(b: int) -> tuple[int, frozenset, list]:
+                y = mass_hi[b]
+                masses = [x + y for x in mass_lo]
+                capped = caps(masses)
+                columns = []
+                for place_lo, place_hi, weight_at, value_at in orders:
+                    z = place_hi[b]
+                    column = []
+                    for x, whole, cap in zip(place_lo, masses, capped):
+                        p = x | z
+                        walked = before = 0
+                        while True:
+                            bit = p & -p
+                            w = weight_at[bit]
+                            if walked + w > cap:
+                                break
+                            walked += w
+                            before = bit
+                            p ^= bit
+                        if 2 * walked == whole:
+                            column.append(value_at[before] + value_at[bit])
+                        else:
+                            column.append(2 * value_at[bit])
+                    columns.append(column)
+                return y, ids_hi[b], columns
+
+        else:
+            orders = []
+            for rows in self.rows.values():
+                # By place, and by place bit: weights and weight * value.
+                weights = [1] + [w for _, w, _ in rows]
+                products = [0] + [w * v for _, w, v in rows]
+                orders.append(
+                    (
+                        *places(rows),
+                        # By theory, the mec sums.
+                        *split([w * v for _, w, v in sorted(rows)]),
+                        dict(zip(place_bits, weights)),
+                        dict(zip(place_bits, products)),
+                        weights,
+                        products,
+                    )
+                )
+
+            def block(b: int) -> tuple[int, frozenset, list]:
+                high = [b >> j & 1 for j in range(n - h)]
+                y = sum(compress(mass_hi, high))
+                masses = [x + y for x in mass_lo]
+                capped = caps(masses)
+                columns = []
+                for (
+                    place_lo, place_hi, sum_lo, sum_hi,
+                    weight_at, product_at, weights, products,
+                ) in orders:
+                    z = sum(compress(place_hi, high))
+                    s = sum(compress(sum_hi, high))
                     totals, kept = [], []
-                    for x, whole, cap, s in zip(place_lo, masses, caps, sum_lo):
-                        p = x | y
+                    for x, whole, cap, t in zip(place_lo, masses, capped, sum_lo):
+                        p = x | z
                         bottom = top = shed = 0
                         while True:
                             bit = p & -p
-                            j = bit.bit_length() - 1
-                            w = weights[j]
+                            w = weight_at[bit]
                             if bottom + w > cap:
                                 break
                             bottom += w
-                            shed += products[j]
+                            shed += product_at[bit]
                             p ^= bit
                         while True:
-                            j = p.bit_length() - 1
+                            j = p.bit_length()
                             w = weights[j]
                             if top + w > cap:
                                 break
                             top += w
                             shed += products[j]
-                            p ^= 1 << j
-                        totals.append(s + z - shed)
-                        kept.append(whole - bottom - top)
-                    out.append((totals, kept) if renormalized else totals)
-                return out
+                            p ^= place_bits[j]
+                        totals.append(t + s - shed)
+                        if renormalized:
+                            kept.append(whole - bottom - top)
+                    columns.append((totals, kept) if renormalized else totals)
+                return y, frozenset().union(*compress(ids_hi, high)), columns
 
-        def block(b: int) -> tuple[list[bool], int, list]:
-            high = [b >> j & 1 for j in range(n - h)]
-            y = sum(compress(mass_hi, high))
-            out = columns(high, list(map(add, mass_lo, repeat(y))))
-            flags = repeat(True, len(mass_lo))
-            for i, j, same in links:
-                if renormalized:
-                    (ti, mi), (tj, mj) = out[i], out[j]
-                    step = map(same, map(mul, ti, mj), map(mul, tj, mi))
-                else:
-                    step = map(same, out[i], out[j])
-                flags = map(and_, flags, step)
-            return list(flags), y, out
+        return mass_lo, ids_lo, block
 
-        return mass_lo, block
+    def sides(
+        self, full: Sequence[int]
+    ) -> Iterator[tuple[frozenset, int, int, tuple[int, ...]]]:
+        """Each subset with the key ``full`` whose complement has another key.
 
-    def sides(self, full: Sequence[int]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        """Each mask with the key ``full`` whose complement has another key.
-
-        It yields ``(mask, mass, key)``, with the complement's key.  The
-        complement of index ``a`` in block ``b`` of :meth:`blocks` is
-        index ``low ^ a`` in block ``top ^ b``, for ``low`` and ``top``
-        all ones, so the blocks without the top bit meet every pair of
-        a nonempty proper subset and its complement once, two blocks at a
-        time.  Index 0 of block 0 is the empty mask, whose flag means
-        nothing.  Only the complements of yielded masks are keyed.
+        It yields ``(ids, mass, order, key)``: the subset's theory ids, its
+        mass, its order key and the complement's key.  The order key is
+        the sum over members of ``2^n - 2^(n - 1 - r)``, with ``r`` the
+        member's place among the sorted ids; in the layout of
+        :meth:`blocks` that is ``size * 2^n - m`` for a layout mask ``m``
+        of ``size`` members, and ascending keys list subsets by size,
+        then by sorted ids.  The complement of index ``a`` in block ``b``
+        is index ``low ^ a`` in block ``top ^ b``, for ``low`` and
+        ``top`` all ones, so the blocks without the top bit meet every
+        pair of a nonempty proper subset and its complement once, two
+        blocks at a time.  Index 0 of block 0 is the empty mask, whose
+        flag means nothing.  Only the complements of yielded subsets are
+        keyed.  With one action every subset ranks alike, and nothing is
+        built.
         """
-        masses, block = self.blocks(full)
-        size = len(masses)
-        low, top = size - 1, (self.everyone + 1) // size - 1
+        if len(full) < 2:
+            return
+        mass_lo, ids_lo, block = self.blocks()
+        n = len(self.weights)
+        size = len(mass_lo)
+        low, top = size - 1, (1 << n) // size - 1
         renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
+        links = _links(full)
         for b in range(top // 2 + 1):
-            (flags, y, mine), (their_flags, z, theirs) = block(b), block(top ^ b)
-            for a in compress(range(size), map(ne, flags, reversed(their_flags))):
+            (y, ids_y, mine), (z, ids_z, theirs) = block(b), block(top ^ b)
+            ahead = _alike(mine, links, renormalized, size, iter)
+            behind = _alike(theirs, links, renormalized, size, reversed)
+            # Signed 1 + a: positive where only mask a of block b is alike,
+            # negative where only its complement is, missing where neither.
+            for s in filter(None, map(mul, map(sub, ahead, behind), count(1))):
+                a = abs(s) - 1
                 if not (a or b):
                     continue
                 c = low ^ a
-                if flags[a]:
+                if s > 0:
+                    m, ids, mass = b * size + a, ids_lo[a] | ids_y, mass_lo[a] + y
                     key = _key_at(theirs, c, renormalized)
-                    yield b * size + a, masses[a] + y, key
                 else:
+                    m, ids, mass = (top ^ b) * size + c, ids_lo[c] | ids_z, mass_lo[c] + z
                     key = _key_at(mine, a, renormalized)
-                    yield (top ^ b) * size + c, masses[c] + z, key
-            del flags, mine, their_flags, theirs  # two blocks alive at a time, not four
+                yield ids, mass, (m.bit_count() << n) - m, key
+            del mine, theirs, ahead, behind  # two blocks alive at a time, not four
 
     def shed(self, action: ActionId) -> tuple[frozenset, frozenset]:
         """The ids the trim drops from ``action``: low side, high side."""
@@ -545,6 +583,39 @@ class _Compiled:
     }
 
 
+def _links(key: Sequence[int]) -> list[tuple[int, int, Callable]]:
+    """The chain of ``key``: ``(i, j, eq or lt)`` for actions adjacent in its order.
+
+    Scores have the key exactly when, in the order the key ranks the
+    actions, they form its chain: ``<`` between two groups, ``==``
+    within one.
+    """
+    order = sorted(range(len(key)), key=key.__getitem__)
+    return [(i, j, eq if key[i] == key[j] else lt) for i, j in zip(order, order[1:])]
+
+
+def _alike(
+    columns: list, links: list, renormalized: bool, size: int, walk: Callable
+) -> Iterator[bool]:
+    """Whether each mask of a block has the key whose chain is ``links``.
+
+    That is ``len(links)`` comparisons of whole columns, with no sort;
+    ``walk`` is ``iter``, or ``reversed`` to read the block from its
+    last index.  Renormalized ``kthm`` compares the
+    means ``t_i / m_i`` and ``t_j / m_j`` as ``t_i * m_j`` against
+    ``t_j * m_i``; every mass is positive.
+    """
+    flags = repeat(True, size)
+    for i, j, same in links:
+        if renormalized:
+            (ti, mi), (tj, mj) = columns[i], columns[j]
+            step = map(same, map(mul, walk(ti), walk(mj)), map(mul, walk(tj), walk(mi)))
+        else:
+            step = map(same, walk(columns[i]), walk(columns[j]))
+        flags = map(and_, flags, step)
+    return flags
+
+
 def _key_at(columns: list, a: int, renormalized: bool) -> tuple[int, ...]:
     """The key of the mask at low index ``a`` of a block with ``columns``."""
     if renormalized:
@@ -562,14 +633,14 @@ def _subset_table(items: Sequence, join: Callable = add, empty=0) -> list:
     """``join`` over the ``items`` of every mask of ``len(items)`` bits, by mask.
 
     Entry 0 is ``empty``, and every other entry is one ``join``: the
-    lowbit recurrence ``t[m] = join(t[m ^ low], items[index of low])``,
-    with ``low`` the lowest set bit of ``m``.  Sums join with ``add``
-    from ``0``, minima with ``min`` from ``inf``.
+    masks with top bit ``1 << i`` follow the ``2^i`` masks below it, each
+    entry ``t[m | 1 << i] = join(t[m], items[i])``.  Sums, place bits
+    among them, join with ``add`` from ``0``, minima with ``min`` from
+    ``inf``, and sets of ids with ``or_`` from the empty ``frozenset``.
     """
-    table = [empty] * (1 << len(items))
-    for m in range(1, len(table)):
-        low = m & -m
-        table[m] = join(table[m ^ low], items[low.bit_length() - 1])
+    table = [empty]
+    for item in items:
+        table += list(map(join, table, repeat(item)))
     return table
 
 

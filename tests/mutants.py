@@ -10,19 +10,24 @@ For each entry the runner copies ``src/``, the test files and
 ``pyproject.toml`` (whose ``pythonpath`` then points pytest at the copy)
 into a temporary directory, applies the one replacement there and runs
 ``pytest -x -q`` on the differential files, with a timeout per mutant.
-It prints, for each entry, killed or survived, the test that killed it
-and the time taken.  The unmutated copy is run first, and must pass.
+Runs are reproducible: the copy's ``conftest.py`` gains a Hypothesis
+profile, used only by this runner, with a fixed seed, no example
+database and no shrink phase, so the same entry fails the same test in
+about the same time on every run.  It prints, for each entry, killed,
+survived or timeout, the test that killed it and the time taken.  The
+unmutated copy is run first, and must pass.
 
 Run from anywhere; it runs the whole catalogue::
 
     python tests/mutants.py
 
-The exit status is 0 when every entry is killed.  It is 1 when one
-survives, when the unmutated copy fails, or when an entry's old text no
-longer occurs exactly once: the catalogue must move with the code.  An
-entry leaves the catalogue only when its code is deleted, or with a
-written argument that it is equivalent.  pytest does not collect this
-file.  It uses the standard library only.
+The exit status is 0 when every entry is killed by a failing test.  It
+is 1 when one survives or times out, when the unmutated copy fails, or
+when an entry's old text no longer occurs exactly once: the catalogue
+must move with the code.  An entry leaves the catalogue only when its
+code is deleted, or with a written argument that it is equivalent.
+pytest does not collect this file.  The script itself uses the standard
+library only; the profile it writes is read by pytest's Hypothesis.
 """
 
 import shutil
@@ -38,16 +43,28 @@ FILES = (
     "tests/test_compile_matches_reference.py",
     "tests/test_kthm_keys.py",
     "tests/test_functionals.py",
+    "tests/test_subset_tables.py",
 )
 TIMEOUT = 150
+# Appended to the copy's conftest.py: tier-1 runs keep their own settings.
+PROFILE = """
+from hypothesis import Phase, settings
+
+settings.register_profile(
+    "mutants",
+    database=None,
+    derandomize=True,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+"""
 
 MUTANTS = {
     "pair-flag-index": (
         "functionals.py",
-        "map(ne, flags, reversed(their_flags))",
-        "map(ne, flags, their_flags)",
+        "behind = _alike(theirs, links, renormalized, size, reversed)",
+        "behind = _alike(theirs, links, renormalized, size, iter)",
         "a mask's complement in block top ^ b sits at index low ^ a, not a;"
-        " pairing index a with a compares a mask with an unrelated one",
+        " reading that block forwards compares a mask with an unrelated one",
     ),
     "pair-side-index": (
         "functionals.py",
@@ -65,8 +82,8 @@ MUTANTS = {
     ),
     "pair-ne": (
         "functionals.py",
-        "map(ne, flags, reversed(their_flags))",
-        "map(eq, flags, reversed(their_flags))",
+        "map(sub, ahead, behind)",
+        "map(and_, ahead, behind)",
         "a pair is reported when its sides disagree; where both rank like"
         " the full framework neither is dominant",
     ),
@@ -79,15 +96,15 @@ MUTANTS = {
     ),
     "chain-lt": (
         "functionals.py",
-        "eq if full[i] == full[j] else lt",
-        "eq if full[i] == full[j] else ne",
+        "eq if key[i] == key[j] else lt",
+        "eq if key[i] == key[j] else ne",
         "between two groups the order matters: a mask that swaps two"
         " adjacent groups of the full ranking is flagged as ranking alike",
     ),
     "chain-eq": (
         "functionals.py",
-        "eq if full[i] == full[j] else lt",
-        "lt if full[i] == full[j] else lt",
+        "eq if key[i] == key[j] else lt",
+        "lt if key[i] == key[j] else lt",
         "actions tied in the full ranking must tie in the mask; demanding a"
         " strict order there flags no mask whose full ranking has a tie",
     ),
@@ -104,6 +121,13 @@ MUTANTS = {
         "return -(-num * mass // den)",
         "the cap is the floor of k * M; its ceiling lets a side shed a row"
         " of weight just above k * M whenever k * M is not an integer",
+    ),
+    "block-cap-ceiling": (
+        "functionals.py",
+        "return [num * m // den for m in masses]",
+        "return [-(-num * m // den) for m in masses]",
+        "a block's walks cut at the same floor of k * M as the per-mask"
+        " trim; its ceiling sheds a row of weight just above k * M",
     ),
     "trim-high-from-lo": (
         "functionals.py",
@@ -134,17 +158,54 @@ MUTANTS = {
         "a renormalized mean is divided by its survivor mass, which is below"
         " the whole mass whenever the trim sheds a theory",
     ),
-    "table-lowbit": (
+    "table-doubling": (
         "functionals.py",
-        "table[m] = join(table[m ^ low], items[low.bit_length() - 1])",
-        "table[m] = join(table[m >> 1], items[low.bit_length() - 1])",
-        "m ^ low clears the item just added; m >> 1 is another subset for"
-        " every m but 1",
+        "table += list(map(join, table, repeat(item)))",
+        "table = list(map(join, table, repeat(item))) + table",
+        "the masks with item i follow the 2^i masks without it; put first,"
+        " every entry sits at the index of another subset",
+    ),
+    "high-table-index": (
+        "functionals.py",
+        "y = hi[b]",
+        "y = hi[b ^ 1]",
+        "block b's high part is entry b of the high table; the entry of"
+        " another block adds the wrong theories to every mec and maximin"
+        " column",
+    ),
+    "hm-high-place-index": (
+        "functionals.py",
+        "z = place_hi[b]",
+        "z = place_hi[b ^ 1]",
+        "the hm walk reads block b's high theories at their places in the"
+        " value order; another block's places walk the wrong rows",
+    ),
+    "id-table-halves": (
+        "functionals.py",
+        "ids_lo, ids_hi = split(",
+        "ids_hi, ids_lo = split(",
+        "index a names the low places and block b the high ones; swapped,"
+        " a reported subset carries other theories' ids",
+    ),
+    "order-rank-bit": (
+        "functionals.py",
+        "(m.bit_count() << n) - m",
+        "(m.bit_count() << n) + m",
+        "a member at place p lowers the key by 2^p, so the smallest id,"
+        " at the highest place, comes first among subsets of one size;"
+        " adding the places reverses that order",
+    ),
+    "layout-descending": (
+        "functionals.py",
+        "key=ids.__getitem__, reverse=True)",
+        "key=ids.__getitem__)",
+        "the order key reads the smallest id at the highest place; in"
+        " ascending layout, subsets of one size come out in reverse",
     ),
     "block-hm-second-row": (
         "functionals.py",
-        "column.append(values[before] + values[j])",
-        "column.append(2 * values[j])",
+        "column.append(value_at[before] + value_at[bit])",
+        "column.append(2 * value_at[bit])",
         "at an exact half the block's median averages the row before the"
         " stop with the stop row, as the per-mask scan does",
     ),
@@ -157,17 +218,32 @@ MUTANTS = {
     ),
     "block-cross-multiply": (
         "functionals.py",
-        "step = map(same, map(mul, ti, mj), map(mul, tj, mi))",
-        "step = map(same, ti, tj)",
+        "step = map(same, map(mul, walk(ti), walk(mj)), map(mul, walk(tj), walk(mi)))",
+        "step = map(same, walk(ti), walk(tj))",
         "renormalized means t / m compare by cross-multiplying; survivor"
         " sums alone misorder actions whose survivor masses differ",
     ),
+    "min-table-empty": (
+        "functionals.py",
+        "join, empty = min, inf",
+        "join, empty = min, 0",
+        "the empty entry of a table of minima must lose every comparison;"
+        " 0 becomes the least value of every subset whose values are all"
+        " positive",
+    ),
+    "renormalize-lcm": (
+        "functionals.py",
+        "common = lcm(*[kept for _, kept in survivors])",
+        "common = max(kept for _, kept in survivors)",
+        "each mean t / m is scaled by a common multiple of every m; below"
+        " it, common // m floors, and means that differ can tie or swap",
+    ),
     "dense-ranks-ties": (
         "core.py",
-        "ranks[cur] = ranks[prev] + (scores[cur] != scores[prev])",
-        "ranks[cur] = ranks[prev] + 1",
-        "equal scores share a rank; counting every step splits a tie into"
-        " a strict order",
+        "distinct = sorted(set(scores))",
+        "distinct = sorted(scores)",
+        "ranks are places among the distinct scores; counting each tied"
+        " score again leaves a rank that no action holds",
     ),
     "credence-sum": (
         "core.py",
@@ -201,11 +277,16 @@ def run(mutant) -> tuple[str, str, float]:
         shutil.copytree(ROOT / "src", work / "src", ignore=skip)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", work)
+        with open(work / "tests" / "conftest.py", "a") as conftest:
+            conftest.write(PROFILE)
         if mutant is not None:
             file, old, new, _ = mutant
             path = work / "src" / "moralagg" / file
             path.write_text(path.read_text().replace(old, new))
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        command = [
+            sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            "--hypothesis-profile=mutants",
+        ]
         start = time.perf_counter()
         try:
             done = subprocess.run(
@@ -240,14 +321,14 @@ def main() -> int:
     print(f"{'unmutated':20} {outcome:9} {took:6.1f} s {test}", flush=True)
     if outcome != "passed":
         return 1
-    survived = 0
+    killed = 0
     for name, mutant in MUTANTS.items():
         outcome, test, took = run(mutant)
-        verdict = "survived" if outcome == "passed" else "killed"
-        survived += outcome == "passed"
+        verdict = {"passed": "survived", "failed": "killed"}.get(outcome, outcome)
+        killed += verdict == "killed"
         print(f"{name:20} {verdict:9} {took:6.1f} s {test}", flush=True)
-    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} killed")
-    return 1 if survived else 0
+    print(f"{killed} of {len(MUTANTS)} killed")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

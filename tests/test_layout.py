@@ -18,6 +18,10 @@
   ``trim`` or ``weights``, nor those of its block layout, ``blocks``,
   ``flags`` or ``columns``.  They ask ``_Compiled`` for keys, masses,
   dominant sides, exact scores and theory ids instead.
+- Enumeration takes each subset's ids and place in the result order from
+  ``_Compiled.sides``: ``fanaticism`` imports no ``_subset_table``, and
+  ``enumerate_dominant_subsets`` reads no theory bits or ids, does no
+  mask arithmetic and sorts once.
 """
 
 import ast
@@ -137,3 +141,31 @@ def test_only_functionals_reads_the_integer_form():
         if isinstance(node, ast.Attribute) and node.attr in private
     )
     assert readers == []
+
+
+def test_enumeration_reads_ids_and_order_from_sides():
+    tree = ast.parse((SOURCE / "fanaticism.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "_subset_table" not in imported
+    (enumerate_,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "enumerate_dominant_subsets"
+    ]
+    nodes = list(ast.walk(enumerate_))
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert "sides" in attributes
+    assert not attributes & {"bits", "theory_ids", "sort", "blocks"}
+    masking = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.LShift, ast.RShift)
+    assert not [node for node in nodes if isinstance(node, ast.BinOp) and isinstance(node.op, masking)]
+    sorts = [
+        node
+        for node in nodes
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sorted"
+    ]
+    assert len(sorts) == 1

@@ -1,11 +1,11 @@
 """Block enumeration against the per-mask path and the plain reference.
 
 :func:`enumerate_dominant_subsets` reads the sides that ``_Compiled.sides``
-reports, and that walks the masks one block at a time
+reports, and that walks the subsets one block at a time
 (``_Compiled.blocks``): each action's scores over every low index of a
-block, one column each, read from subset tables over the low theory
-bits, and a chain of column comparisons that says which masks rank like
-the full framework.  :func:`is_dominant_subset`, :func:`aggregate` and
+block, one column each, read from subset tables over the low and the
+high theory places, and a chain of column comparisons that says which
+subsets rank like the full framework.  :func:`is_dominant_subset`, :func:`aggregate` and
 the witnesses key one to three masks with ``_Compiled.key``, which
 ``test_dominance_kernel.py`` holds to ``reference.py`` from 2 to 24
 theories.  These tests hold the blocks to both, under all five variants
@@ -13,10 +13,12 @@ plus ``kthm`` at 0, 1/7 and 49/100 in both modes:
 
 - at 9 and 10 theories, the enumeration against one ranking per subset
   from ``restrict`` plus ``reference.py``;
-- at 11 to 14 theories, every mask's flag, mass and key, dense-ranked
-  from its block's columns, against ``_Compiled.key`` and
-  ``_Compiled.mass``, and the reported sides and the enumeration
-  against a walk of those per-mask keys;
+- at 11 to 14 theories, every subset's ids, flag, mass and key,
+  dense-ranked from its block's columns, against ``_Compiled.key`` and
+  ``_Compiled.mass``, and the reported sides (with their order keys)
+  and the enumeration against a walk of those per-mask keys;
+- at 9 and 10 theories whose ids sort in another order than they are
+  declared, the enumeration's order: by size, then by sorted ids;
 - on built frameworks with uniform and with dyadic credences, where the
   sorted rows of many masks reach exactly half the mask's weight, so
   that ``hm`` averages two rows;
@@ -85,41 +87,57 @@ def reference_enumeration(spec, framework, actions):
     ]
 
 
+def order_key(subset, framework):
+    """The sum over members of ``2^n - 2^(n - 1 - r)``, ``r`` the id's sorted place."""
+    n = len(framework.theories)
+    ranks = {tid: r for r, tid in enumerate(sorted(framework.theory_ids()))}
+    return sum(2**n - 2 ** (n - 1 - ranks[tid]) for tid in subset)
+
+
 def assert_tables_match_per_mask(spec, framework, actions):
-    """Every block's flags, masses and keys equal ``_Compiled``'s on every
-    mask, and the reported sides and the enumeration equal a walk of the
-    per-mask keys."""
+    """Every block's masses, ids, flags and keys equal ``_Compiled``'s on
+    every subset, each subset in one block once, and the reported sides
+    and the enumeration equal a walk of the per-mask keys."""
     compiled = _Compiled(spec, framework, actions)
     everyone = compiled.everyone
     renormalized = spec.trim_mode is TrimMode.RENORMALIZED
+    ids = list(zip(framework.theory_ids(), compiled.bits))
     keys = {everyone: compiled.key(everyone)}
-    masses, block = compiled.blocks(keys[everyone])
+    links = functionals._links(keys[everyone])
+    masses, ids_lo, block = compiled.blocks()
     size = len(masses)
+    assert len(ids_lo) == size
+    seen = set()
     for b in range((everyone + 1) // size):
-        flags, high, columns = block(b)
+        high, ids_high, columns = block(b)
+        flags = list(functionals._alike(columns, links, renormalized, size, iter))
         assert len(flags) == size
         for a in range(size):
-            mask = b * size + a
+            subset = ids_lo[a] | ids_high
+            mask = sum(bit for tid, bit in ids if tid in subset)
+            assert mask not in seen, mask
+            seen.add(mask)
             if not mask:
                 continue
             keys[mask] = compiled.key(mask)
             assert functionals._key_at(columns, a, renormalized) == keys[mask], mask
             assert flags[a] == (keys[mask] == keys[everyone]), mask
             assert masses[a] + high == compiled.mass(mask), mask
+    assert len(seen) == everyone + 1
     full = _ranking(actions, keys[everyone])
-    ids = list(zip(framework.theory_ids(), compiled.bits))
     walked = []
     reported = {}
     for mask in range(1, everyone):
         if keys[mask] == keys[everyone] != keys[everyone ^ mask]:
-            reported[mask] = (compiled.mass(mask), keys[everyone ^ mask])
-            combo = sorted(tid for tid, bit in ids if mask & bit)
+            combo = frozenset(tid for tid, bit in ids if mask & bit)
+            order = order_key(combo, framework)
+            reported[combo] = (compiled.mass(mask), order, keys[everyone ^ mask])
             yielding = _ranking(actions, keys[everyone ^ mask])
             credence = F(compiled.mass(mask), compiled.den)
-            walked.append(((len(combo), combo), (frozenset(combo), credence, full, full, yielding)))
-    sides = [(mask, (mass, rest)) for mask, mass, rest in compiled.sides(keys[everyone])]
+            walked.append((order, (combo, credence, full, full, yielding)))
+    sides = [(side, rest) for side, *rest in compiled.sides(keys[everyone])]
     assert len(sides) == len(reported)
-    assert dict(sides) == reported
+    assert {side: tuple(rest) for side, rest in sides} == reported
     walked.sort(key=lambda entry: entry[0])
     got = fields(enumerate_dominant_subsets(spec, framework, actions))
     assert got == [row for _, row in walked]
@@ -137,6 +155,34 @@ def test_enumeration_matches_reference_at_nine_theories(spec):
     framework, actions = random_framework(random.Random(16_009), (9, 9))
     got = fields(enumerate_dominant_subsets(spec, framework, actions))
     assert got == reference_enumeration(spec, framework, actions)
+
+
+# Ids whose sorted order differs from declaration order in both halves of
+# the theories: "t10" sorts between "t1" and "t2", and the letters before
+# every "t".
+SHUFFLED_IDS = ("t9", "b", "t10", "a", "t1", "z", "t2", "c", "t11", "m")
+
+
+def renamed(framework, ids):
+    """``framework`` with its theories renamed to ``ids``, in declared order."""
+    theories = [Theory(tid, t.evaluations) for tid, t in zip(ids, framework.theories)]
+    credences = [framework.credences[t.id] for t in framework.theories]
+    return EthicalFramework(theories, dict(zip(ids, credences)))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SwfSpec.label)
+@pytest.mark.parametrize("nt", (9, 10))
+def test_enumeration_order_follows_sorted_ids(spec, nt):
+    # The order key must list subsets by size, then by sorted ids, however
+    # the declared order interleaves them.
+    framework, actions = random_framework(random.Random(16_600 + nt), (nt, nt))
+    framework = renamed(framework, SHUFFLED_IDS[:nt])
+    found = enumerate_dominant_subsets(spec, framework, actions)
+    assert len(found) > 1
+    order = [sorted(subset.theory_ids) for subset in found]
+    assert order == sorted(order, key=lambda ids: (len(ids), ids))
+    assert len({tuple(ids) for ids in order}) == len(order)
+    assert fields(found) == reference_enumeration(spec, framework, actions)
 
 
 @pytest.mark.parametrize(
@@ -223,8 +269,9 @@ class Tracked(list):
 def live_block_entries(monkeypatch):
     """After each block is built, the entries of all blocks then alive.
 
-    Each block is handed on with its flags and every column copied into
-    a ``Tracked`` list, and a block's entries are those lists' lengths.
+    Each block is handed on with every column copied into a ``Tracked``
+    list, and a block's entries are those lists' lengths; its flags are
+    tested as the columns are read, and never stored.
     The test runs with ``gc`` off, so a list is alive exactly until its
     last reference goes.
     """
@@ -232,24 +279,23 @@ def live_block_entries(monkeypatch):
     live = []
     original = _Compiled.blocks
 
-    def blocks(self, full):
-        masses, block = original(self, full)
+    def blocks(self):
+        masses, ids, block = original(self)
         renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
 
         def counting(b):
-            flags, high, columns = block(b)
-            flags = Tracked(flags)
+            high, ids_high, columns = block(b)
             if renormalized:
                 columns = [tuple(map(Tracked, pair)) for pair in columns]
                 held = [column for pair in columns for column in pair]
             else:
                 columns = held = list(map(Tracked, columns))
-            live.extend(map(weakref.ref, [flags, *held]))
+            live.extend(map(weakref.ref, held))
             live[:] = [ref for ref in live if ref() is not None]
             counts.append(sum(len(ref()) for ref in live))
-            return flags, high, columns
+            return high, ids_high, columns
 
-        return masses, counting
+        return masses, ids, counting
 
     monkeypatch.setattr(_Compiled, "blocks", blocks)
     gc.disable()
