@@ -472,9 +472,12 @@ def extend(
     if fixed and new_mass >= 1:
         raise CredenceMassExceeded(new_mass)
     _credence_weights(framework)  # the old credences must sum to 1
-    scale = 1 - new_mass
+    num, d = (1 - new_mass).as_integer_ratio()
     theories = list(framework.theories) + [t for t, _ in fixed]
-    credences = {t.id: framework.credences[t.id] * scale for t in framework.theories}
+    credences = {
+        tid: Fraction(c.numerator * num, c.denominator * d)
+        for tid, c in framework.credences.items()
+    }
     credences.update({t.id: c for t, c in fixed})
     return EthicalFramework(theories, credences)
 

@@ -10,18 +10,15 @@ low-credence condition belongs to fanaticism, defined next.
 Dominance is decided without building restricted frameworks.  Each call
 of :func:`is_dominant_subset` or :func:`enumerate_dominant_subsets`
 validates and compiles the framework once into exact integers, the
-same compile that :func:`~moralagg.functionals.aggregate` reads.  A
-subset is then a bitmask over the declared theories, and the compile
-keys it by the dense ranks of one integer score per action.  Every
-ranking here and in :func:`aggregate` comes from one grouping rule, in
-:mod:`moralagg.core`.  A subset and its complement are two sides of one
-split, and at most one side of a split can be dominant: one that ranks
-like the full framework while the other side does not.  Enumeration asks
-the compile for exactly those sides
-(:meth:`~moralagg.functionals._Compiled.sides`), with each side's ids,
-credence, place in the result order and its complement's key, and
-builds rankings only for the subsets it reports, one per distinct
-ranking of their complements.
+same compile that :func:`~moralagg.functionals.aggregate` reads.  This
+module names a subset by its theory ids, and the compile keys it by
+the dense ranks of one integer score per action: every ranking here and
+in :func:`aggregate`, the full one included, comes from such a key.  A
+subset and its complement are two sides of one split, and at most one
+side can be dominant: one that ranks like the full framework while the
+other does not.  Enumeration asks the compile for exactly those sides
+(:meth:`~moralagg.functionals._Compiled.sides`), and builds one ranking
+per distinct ranking of their complements.
 
 A functional is *fanatical* at credence level k when every framework can
 be captured this way by newly added theories of total credence at most k.
@@ -52,7 +49,6 @@ from .core import (
     Theory,
     TheoryId,
     UnknownTheoryId,
-    _dense_ranks,
     _frozen,
     _ranking,
     extend,
@@ -164,9 +160,9 @@ def is_dominant_subset(
 
     Both the candidate and its complement are renormalized restrictions
     of the framework, and all three rankings are computed under ``spec``:
-    the framework is validated and compiled once, and the full set, the
-    candidate and the complement are ranked as three bitmasks.  The
-    rankings equal those :func:`aggregate` gives for the restrictions.
+    the framework is validated and compiled once, and the compile keys
+    the full set, the candidate and the complement.  The rankings equal
+    those :func:`aggregate` gives for the restrictions.
     No credence bound applies: a subset of any total credence may be
     dominant.
 
@@ -183,18 +179,12 @@ def is_dominant_subset(
         raise UnknownTheoryId(tid)
     if not candidate or candidate == all_ids:
         raise NotProperSubset()
-    compiled = _Compiled(spec, framework, actions)
-    members = zip(framework.theories, compiled.bits)
-    return _verdict(compiled, sum(bit for t, bit in members if t.id in candidate))
+    return _verdict(actions, _Compiled(spec, framework, actions).keys(candidate))
 
 
-def _verdict(compiled: _Compiled, mask: int) -> DominanceVerdict:
-    """The dominance verdict on the subset ``mask`` of a compiled framework."""
-    everyone = compiled.everyone
-    full, dominant, yielding = (
-        _ranking(compiled.actions, compiled.key(m))
-        for m in (everyone, mask, everyone ^ mask)
-    )
+def _verdict(actions: ActionSet, keys: Iterable[Sequence[int]]) -> DominanceVerdict:
+    """The dominance verdict from the keys of the full set, a subset and the rest."""
+    full, dominant, yielding = (_ranking(actions, key) for key in keys)
     return DominanceVerdict(full == dominant != yielding, full, dominant, yielding)
 
 
@@ -212,13 +202,12 @@ def enumerate_dominant_subsets(
     is validated and compiled once.  A subset is dominant exactly when
     it ranks like the full framework and its complement does not: were
     both alike, their rankings would be equal.  So the compile reports
-    those sides, with their ids, credences, order keys and their
-    complements' keys, and nothing outlives the call but the results.
-    Each reported side gets the verdict :func:`is_dominant_subset` would
-    give, one verdict shared by every side whose complement ranks alike.
-    Results are ordered by subset size, then lexicographically by ids:
-    by the order keys, in one sort.  A valid framework of fewer than two
-    theories has no nonempty proper subset and gives ``[]``.
+    those sides, and nothing outlives the call but the results.  Each
+    gets the verdict :func:`is_dominant_subset` would give, one verdict
+    shared by every side whose complement ranks alike.  Results are
+    ordered by subset size, then lexicographically by ids: by the order
+    keys, in one sort.  A valid framework of fewer than two theories has
+    no nonempty proper subset and gives ``[]``.
     """
     n = len(framework.theories)
     if n > max_theories:
@@ -226,17 +215,16 @@ def enumerate_dominant_subsets(
     compiled = _Compiled(spec, framework, actions)
     if n < 2:
         return []
-    full_key = compiled.key(compiled.everyone)
+    full_key, sides = compiled.sides()
     full = _ranking(actions, full_key)
-    den = compiled.den
     verdicts: dict[tuple[int, ...], DominanceVerdict] = {}
     found: dict[int, DominantSubset] = {}
-    for ids, mass, order, rest in compiled.sides(full_key):
+    for ids, credence, order, rest in sides:
         verdict = verdicts.get(rest)
         if verdict is None:
             verdict = DominanceVerdict(True, full, full, _ranking(actions, rest))
             verdicts[rest] = verdict
-        found[order] = DominantSubset(ids, Fraction(mass, den), verdict)
+        found[order] = DominantSubset(ids, credence, verdict)
     return [found[order] for order in sorted(found)]
 
 
@@ -298,27 +286,24 @@ def _capture(
     The base framework is compiled and scored once, and
     ``construct(base, scores, ranking)`` returns the injected theory's
     values and the construction record from that compile, its exact
-    scores and their ranking.  The theory is added under a fresh id,
-    which ``construction`` gains as its last key, and the extension is
-    verified on a compile of its own: the injected theory is its last
-    declared one.
+    scores and the ranking of their key.  The theory is added under a
+    fresh id, which ``construction`` gains as its last key, and the
+    extension is verified on a compile of its own.
     """
     if len(actions) < 2:
         raise MoralAggError("capturing needs at least two actions")
     base = _Compiled(spec, framework, actions)
-    scores = base.exact()
-    ranking = _ranking(actions, _dense_ranks(scores))
-    values, construction = construct(base, scores, ranking)
+    scores, key = base.exact()
+    values, construction = construct(base, scores, _ranking(actions, key))
     injected = Theory(_fresh_theory_id(framework.theory_ids()), values)
     construction = {**construction, "injected_id": injected.id}
     extended = extend(framework, [(injected, credence)])
-    compiled = _Compiled(spec, extended, actions)
-    verdict = _verdict(compiled, compiled.bits[-1])
+    ids = frozenset({injected.id})
+    verdict = _verdict(actions, _Compiled(spec, extended, actions).keys(ids))
     if not verdict.is_dominant:
         raise ConstructionFailed(
             f"constructed extension failed dominance verification: {construction!r}"
         )
-    ids = frozenset({injected.id})
     return WitnessReport(spec, extended, ids, credence, verdict, construction)
 
 
@@ -478,8 +463,8 @@ def _probe(
 ) -> bool:
     """Extend the canonical family by ``adversary`` and test its dominance.
 
-    The extended framework is compiled once under ``spec``; the base
-    theory is its bit 1 and the adversary the bits above.  Both rules
+    The extended framework is compiled once under ``spec``, and the
+    adversary's theory ids are the subset tested.  Both rules
     resist for one reason: the base theory's credence exceeds
     ``1/2 > k``, so the trim (at ``k`` for ``kthm``, at one half for
     ``hm``) sheds every adversary theory on every action.  That is
@@ -502,7 +487,7 @@ def _probe(
             raise ConstructionFailed(
                 f"adversary theory survived trimming on {action!r}"
             )
-    verdict = _verdict(compiled, compiled.everyone ^ 1)
+    verdict = _verdict(actions, compiled.keys(ids))
     if verdict.full_ranking != Ranking([{"b"}, {"a"}]):
         raise ConstructionFailed(
             f"{spec.label()} ranking moved to {verdict.full_ranking} "

@@ -19,9 +19,10 @@ scores each rule over whole blocks of subsets from subset tables, and
 tests a block against the full ranking by comparing columns.
 :func:`aggregate`, the per-action functions and the dominance checks,
 witnesses and probes of :mod:`moralagg.fanaticism` read it; its integer
-form and its block layout stay in this module, and other modules ask it
-for keys, masses, the subsets that rank like the full framework while
-their complements do not, exact scores and trimmed theory ids.
+form, its subset masks and its block layout stay in this module.  Other
+modules name subsets by theory ids, and ask it for keys, the subsets
+that rank like the full framework while their complements do not, exact
+scores with their key, and trimmed theory ids.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from itertools import compress, count, repeat
 from math import inf, lcm
 from operator import add, and_, eq, itemgetter, lt, mul, or_, sub
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Collection, Iterator, Optional, Sequence, Union
 
 from .core import (
     ActionId,
@@ -45,7 +46,7 @@ from .core import (
     UnknownAction,
     _dense_ranks,
     _frozen,
-    ranking_from_scores,
+    _ranking,
     to_rational,
     validate_framework,
 )
@@ -131,30 +132,30 @@ class SwfSpec:
 class _Compiled:
     """``framework`` over ``actions`` in exact integers, validated once.
 
-    Other modules use only this interface, whose answers are masks,
-    theory ids and exact ``Fraction``s:
+    Other modules use only this interface, whose answers are theory ids,
+    exact ``Fraction``s and keys: a key is ``core._dense_ranks`` of one
+    integer score per action, so equal keys mean equal rankings.
 
-    - the mask convention: ``bits[i]`` stands for the ``i``-th declared
-      theory in a subset mask, and ``everyone`` is the mask of them all;
-    - ``key(mask)``, a nonempty subset's ranking as ``core._dense_ranks``
-      gives it, and ``mass(mask)``, which over ``den`` is its credence;
-    - :meth:`sides`, every subset that has a given key while its
-      complement does not, as its ids, its mass, an order key and the
-      complement's key, for a caller that visits every subset;
-    - :meth:`exact`, the full framework's scores; :meth:`shed`, the ids
-      the trim drops; :meth:`spread`, the ``kthm`` ladder's bound;
-    - ``actions`` and ``spec``, as given.
+    - :meth:`keys`, the keys of the full framework, of a subset of its
+      theories and of the rest; :meth:`exact`, the full framework's
+      scores and their key, from one scoring;
+    - :meth:`sides`, the full key, and every subset that has it while
+      its complement does not, for a caller that visits every subset;
+    - :meth:`shed`, the ids the trim drops; :meth:`spread`, the ``kthm``
+      ladder's bound; ``theories``, ``actions`` and ``spec``, as given.
 
-    The rest is the integer form, private to this module.  Credences
-    become integer weights, scaled by ``den``, the lcm of their
-    denominators, as :func:`~moralagg.core.validate_framework` returns
-    them.  Evaluations become integer values, scaled by ``scale``, one
-    lcm common to every action.  Each action keeps one row
-    ``(bit, weight, value)`` per theory, in declaration order; for
-    ``kthm`` and ``hm``, the rules that read an order, sorted ascending
-    by value, ties in declaration order.  Both read it through one scan,
-    :meth:`trim`: ``hm`` is the trim at one half, and its median is
-    where that trim stops (:meth:`_hm`).
+    The rest is the integer form, private to this module.  A subset is a
+    mask, in which ``bits[i]`` stands for the ``i``-th declared theory
+    and ``everyone`` for them all.  Credences become integer weights,
+    scaled by ``den``, the lcm of their denominators, as
+    :func:`~moralagg.core.validate_framework` returns them, so that
+    ``mass(mask)`` over ``den`` is a subset's credence.  Evaluations
+    become integer values, scaled by ``scale``, one lcm common to every
+    action.  Each action keeps one row ``(bit, weight, value)`` per
+    theory, in declaration order; for ``kthm`` and ``hm``, the rules that
+    read an order, sorted ascending by value, ties in declaration order.
+    Both read it through one scan, :meth:`trim`: ``hm`` is the trim at
+    one half, and its median is where that trim stops (:meth:`_hm`).
 
     ``score(mask)`` scores any nonempty subset of the theories: one
     integer per action, in the order of ``actions`` (twice the median for
@@ -169,14 +170,12 @@ class _Compiled:
     order exactly as the means do.  :meth:`exact` divides the scaling
     back out.
 
-    ``key`` and ``mass`` scan every row of a mask, which suits the one
-    to three masks that :func:`aggregate`, a dominance check or a
-    witness keys, at any number of theories.  :meth:`sides` spends
-    ``O(actions * 2^(n/2))`` memory on ``n`` theories to score a whole
-    block of subsets per action at once, in a layout of its own
-    (:meth:`blocks`), and to test each block against one key by
-    comparing columns instead of sorting a key per mask; only
-    enumeration, which visits all ``2^n``, builds them.
+    ``key`` and ``mass`` scan every row of a mask, which suits the three
+    masks of a dominance check, at any number of theories.
+    :meth:`sides` spends ``O(actions * 2^(n/2))`` memory on ``n``
+    theories to score a whole block of subsets per action at once
+    (:meth:`blocks`), and tests each block against one key by comparing
+    columns instead of sorting a key per mask.
 
     The compile holds no reference to itself, so it is freed as soon as
     its caller drops it, without waiting for the cycle collector.
@@ -223,6 +222,11 @@ class _Compiled:
     def key(self, mask: int) -> tuple[int, ...]:
         """The dense ranks of ``score(mask)``: equal keys, equal rankings."""
         return _dense_ranks(self.score(mask))
+
+    def keys(self, ids: Collection[TheoryId]) -> tuple[tuple[int, ...], ...]:
+        """The keys of the full framework, of its theories ``ids`` and of the rest."""
+        mask = sum(bit for t, bit in zip(self.theories, self.bits) if t.id in ids)
+        return tuple(map(self.key, (self.everyone, mask, self.everyone ^ mask)))
 
     def _mec(self, mask: int) -> tuple:
         return tuple(
@@ -493,30 +497,34 @@ class _Compiled:
 
         return mass_lo, ids_lo, block
 
-    def sides(
-        self, full: Sequence[int]
-    ) -> Iterator[tuple[frozenset, int, int, tuple[int, ...]]]:
-        """Each subset with the key ``full`` whose complement has another key.
+    def sides(self) -> tuple[tuple[int, ...], Iterator[tuple]]:
+        """The full key, and each subset with it whose complement has another."""
+        full = self.key(self.everyone)
+        return full, self._sides(full)
 
-        It yields ``(ids, mass, order, key)``: the subset's theory ids, its
-        mass, its order key and the complement's key.  The order key is
-        the sum over members of ``2^n - 2^(n - 1 - r)``, with ``r`` the
-        member's place among the sorted ids; in the layout of
-        :meth:`blocks` that is ``size * 2^n - m`` for a layout mask ``m``
-        of ``size`` members, and ascending keys list subsets by size,
-        then by sorted ids.  The complement of index ``a`` in block ``b``
-        is index ``low ^ a`` in block ``top ^ b``, for ``low`` and
-        ``top`` all ones, so the blocks without the top bit meet every
-        pair of a nonempty proper subset and its complement once, two
-        blocks at a time.  Index 0 of block 0 is the empty mask, whose
-        flag means nothing.  Only the complements of yielded subsets are
-        keyed.  With one action every subset ranks alike, and nothing is
-        built.
+    def _sides(
+        self, full: Sequence[int]
+    ) -> Iterator[tuple[frozenset, Fraction, int, tuple[int, ...]]]:
+        """The subsets of :meth:`sides`, whose key is ``full``.
+
+        It yields ``(ids, credence, order, key)``: the subset's theory ids,
+        its mass over ``den``, its order key and the complement's key.  The
+        order key is the sum over members of ``2^n - 2^(n - 1 - r)``, with
+        ``r`` the member's place among the sorted ids; in the layout of
+        :meth:`blocks` that is ``size * 2^n - m`` for a layout mask ``m`` of
+        ``size`` members, and ascending keys list subsets by size, then by
+        sorted ids.  The complement of index ``a`` in block ``b`` is index
+        ``low ^ a`` in block ``top ^ b``, for ``low`` and ``top`` all ones,
+        so the blocks without the top bit meet every pair of a nonempty
+        proper subset and its complement once, two blocks at a time.  Index
+        0 of block 0 is the empty mask, whose flag means nothing.  Only the
+        complements of yielded subsets are keyed.  With one action every
+        subset ranks alike, and nothing is built.
         """
         if len(full) < 2:
             return
         mass_lo, ids_lo, block = self.blocks()
-        n = len(self.weights)
+        n, den = len(self.weights), self.den
         size = len(mass_lo)
         low, top = size - 1, (1 << n) // size - 1
         renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
@@ -538,7 +546,7 @@ class _Compiled:
                 else:
                     m, ids, mass = (top ^ b) * size + c, ids_lo[c] | ids_z, mass_lo[c] + z
                     key = _key_at(mine, a, renormalized)
-                yield ids, mass, (m.bit_count() << n) - m, key
+                yield ids, Fraction(mass, den), (m.bit_count() << n) - m, key
             del mine, theirs, ahead, behind  # two blocks alive at a time, not four
 
     def shed(self, action: ActionId) -> tuple[frozenset, frozenset]:
@@ -556,22 +564,21 @@ class _Compiled:
             self.den * self.scale,
         )
 
-    def exact(self) -> list[Fraction]:
-        """The full framework's scores with the scaling divided out, as printed."""
+    def exact(self) -> tuple[list[Fraction], tuple[int, ...]]:
+        """The full framework's scores, scaling divided out, and their integer key."""
         spec = self.spec
-        if spec.kind is SwfKind.KTHM:
-            renormalized = spec.trim_mode is TrimMode.RENORMALIZED
-            return [
-                Fraction(total, (kept if renormalized else self.den) * self.scale)
-                for total, kept in self._survivors(self.everyone)
-            ]
+        if spec.trim_mode is TrimMode.RENORMALIZED:
+            survivors = self._survivors(self.everyone)
+            scores = [Fraction(total, kept * self.scale) for total, kept in survivors]
+            return scores, _dense_ranks(_renormalize(survivors))
         if spec.kind is SwfKind.HM:
             divisor = 2 * self.scale
         elif spec.kind is SwfKind.MAXIMIN:
             divisor = self.scale
         else:
             divisor = self.den * self.scale
-        return [Fraction(s, divisor) for s in self.score(self.everyone)]
+        scores = self.score(self.everyone)
+        return [Fraction(s, divisor) for s in scores], _dense_ranks(scores)
 
     # The rule behind ``score``: a plain function per kind, held by the
     # class, so that a compile holds no bound method of itself.
@@ -664,12 +671,12 @@ def wam(framework: EthicalFramework, action: ActionId) -> Fraction:
     validates it, and :class:`UnknownAction` is raised when no theory
     evaluates ``action``.
     """
-    return _view(SwfSpec.mec(), framework, action).exact()[0]
+    return _view(SwfSpec.mec(), framework, action).exact()[0][0]
 
 
 def min_evaluation(framework: EthicalFramework, action: ActionId) -> Fraction:
     """Worst evaluation of ``action`` across theories; credences play no role."""
-    return _view(SwfSpec.maximin(), framework, action).exact()[0]
+    return _view(SwfSpec.maximin(), framework, action).exact()[0][0]
 
 
 def sorted_evaluations(
@@ -719,7 +726,7 @@ def trimmed_wam(
     surviving mass instead.  Both sides trim at most ``k < 1/2`` of the
     mass, so the surviving mass is always positive.
     """
-    return _view(SwfSpec.kthm(k, trim_mode), framework, action).exact()[0]
+    return _view(SwfSpec.kthm(k, trim_mode), framework, action).exact()[0][0]
 
 
 def wmedian(framework: EthicalFramework, action: ActionId) -> Fraction:
@@ -734,7 +741,7 @@ def wmedian(framework: EthicalFramework, action: ActionId) -> Fraction:
     :class:`CredenceOutOfRange`, and credences that do not sum to 1 raise
     :class:`CredenceSumNotOne`.
     """
-    return _view(SwfSpec.hm(), framework, action).exact()[0]
+    return _view(SwfSpec.hm(), framework, action).exact()[0][0]
 
 
 @_frozen
@@ -754,7 +761,10 @@ def aggregate(
     The framework is validated against ``actions`` first, so missing
     evaluations and credence defects surface here rather than as wrong
     numbers.  It is then compiled into integers once, scored over all
-    its theories, and each score divided back by the compile's scale.
+    its theories, once: each score is divided back by the compile's
+    scale, and the ranking is the key of the integer scores.
     """
-    scores = dict(zip(actions, _Compiled(spec, framework, actions).exact()))
-    return AggregateResult(spec, scores, ranking_from_scores(scores))
+    scores, key = _Compiled(spec, framework, actions).exact()
+    if not key:
+        raise ValueError("cannot rank an empty score table")
+    return AggregateResult(spec, dict(zip(actions, scores)), _ranking(actions, key))

@@ -1,21 +1,24 @@
-"""Mutants of the integer fast paths, and a runner that checks each is killed.
+"""Mutants of the fast paths and the CLI front end, and a runner that checks them.
 
 The differential tests are the proof that every fast path equals the
-plain ``Fraction`` path; this catalogue shows that they would notice a
-fault.  Each entry is ``(file, old, new, why)``: a file under
-``src/moralagg``, a text that occurs in it exactly once, its
-replacement, and why the mutant is not equivalent to the code.
+plain ``Fraction`` path, and the golden and writer tests pin the CLI's
+bytes; this catalogue shows that they would notice a fault.  Each entry
+is ``(file, old, new, why, tests)``: a file under ``src/moralagg``, a
+text that occurs in it exactly once, its replacement, why the mutant is
+not equivalent to the code, and the test files that must kill it.
 
-For each entry the runner copies ``src/``, the test files and
-``pyproject.toml`` (whose ``pythonpath`` then points pytest at the copy)
-into a temporary directory, applies the one replacement there and runs
-``pytest -x -q`` on the differential files, with a timeout per mutant.
+For each entry the runner copies ``src/``, ``tests/``, ``scenarios/``,
+``demos/`` and ``pyproject.toml`` (whose ``pythonpath`` then points
+pytest at the copy) into a temporary directory, applies the one
+replacement there and runs ``pytest -x -q`` on the entry's test files,
+with a timeout per mutant.
 Runs are reproducible: the copy's ``conftest.py`` gains a Hypothesis
 profile, used only by this runner, with a fixed seed, no example
 database and no shrink phase, so the same entry fails the same test in
 about the same time on every run.  It prints, for each entry, killed,
 survived or timeout, the test that killed it and the time taken.  The
-unmutated copy is run first, and must pass.
+unmutated copy is run first on every file the catalogue names, and must
+pass.
 
 Run from anywhere; it runs the whole catalogue::
 
@@ -38,13 +41,17 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = (
+# The differential files: the fast paths against the plain reference.
+DIFFERENTIAL = (
     "tests/test_dominance_kernel.py",
     "tests/test_compile_matches_reference.py",
     "tests/test_kthm_keys.py",
     "tests/test_functionals.py",
     "tests/test_subset_tables.py",
 )
+CORE = ("tests/test_core.py",)
+WRITER = ("tests/test_json_writer.py", "tests/test_cli_golden.py")
+COPIED = ("src", "tests", "scenarios", "demos")
 TIMEOUT = 150
 # Appended to the copy's conftest.py: tier-1 runs keep their own settings.
 PROFILE = """
@@ -65,6 +72,7 @@ MUTANTS = {
         "behind = _alike(theirs, links, renormalized, size, iter)",
         "a mask's complement in block top ^ b sits at index low ^ a, not a;"
         " reading that block forwards compares a mask with an unrelated one",
+        DIFFERENTIAL,
     ),
     "pair-side-index": (
         "functionals.py",
@@ -72,6 +80,7 @@ MUTANTS = {
         "                c = a\n",
         "the reported side's complement is keyed, and a side in the block"
         " top ^ b is named, at the wrong index",
+        DIFFERENTIAL,
     ),
     "pair-block-range": (
         "functionals.py",
@@ -79,6 +88,7 @@ MUTANTS = {
         "for b in range(top // 2):",
         "block top // 2 is the last block without the top bit; without it"
         " the pairs of that block and its complement block go unvisited",
+        DIFFERENTIAL,
     ),
     "pair-ne": (
         "functionals.py",
@@ -86,6 +96,7 @@ MUTANTS = {
         "map(and_, ahead, behind)",
         "a pair is reported when its sides disagree; where both rank like"
         " the full framework neither is dominant",
+        DIFFERENTIAL,
     ),
     "pair-empty-skip": (
         "functionals.py",
@@ -93,6 +104,7 @@ MUTANTS = {
         "",
         "the empty mask's flag means nothing; read as false, it reports the"
         " whole framework as a dominant subset whenever its own flag is set",
+        DIFFERENTIAL,
     ),
     "chain-lt": (
         "functionals.py",
@@ -100,6 +112,7 @@ MUTANTS = {
         "eq if key[i] == key[j] else ne",
         "between two groups the order matters: a mask that swaps two"
         " adjacent groups of the full ranking is flagged as ranking alike",
+        DIFFERENTIAL,
     ),
     "chain-eq": (
         "functionals.py",
@@ -107,6 +120,7 @@ MUTANTS = {
         "lt if key[i] == key[j] else lt",
         "actions tied in the full ranking must tie in the mask; demanding a"
         " strict order there flags no mask whose full ranking has a tie",
+        DIFFERENTIAL,
     ),
     "trim-cap-inclusive": (
         "functionals.py",
@@ -114,6 +128,7 @@ MUTANTS = {
         "if low + w >= cap:",
         "a low prefix of weight exactly the cap is trimmed (p / M <= k), so"
         " stopping before it keeps a row the rule sheds",
+        DIFFERENTIAL,
     ),
     "cap-ceiling": (
         "functionals.py",
@@ -121,6 +136,7 @@ MUTANTS = {
         "return -(-num * mass // den)",
         "the cap is the floor of k * M; its ceiling lets a side shed a row"
         " of weight just above k * M whenever k * M is not an integer",
+        DIFFERENTIAL,
     ),
     "block-cap-ceiling": (
         "functionals.py",
@@ -128,6 +144,7 @@ MUTANTS = {
         "return [-(-num * m // den) for m in masses]",
         "a block's walks cut at the same floor of k * M as the per-mask"
         " trim; its ceiling sheds a row of weight just above k * M",
+        DIFFERENTIAL,
     ),
     "trim-high-from-lo": (
         "functionals.py",
@@ -136,6 +153,7 @@ MUTANTS = {
         "at an exact half the high walk sheds every row from lo up and must"
         " go on past unmasked rows to the last masked row below lo, the"
         " second median row; stopping at lo reads an unmasked row's value",
+        DIFFERENTIAL,
     ),
     "hm-median-rows": (
         "functionals.py",
@@ -143,6 +161,7 @@ MUTANTS = {
         "scores.append(2 * rows[lo][2])",
         "where a prefix weighs exactly half the mask, the median averages"
         " two rows of different values",
+        DIFFERENTIAL,
     ),
     "survivor-mass": (
         "functionals.py",
@@ -150,13 +169,87 @@ MUTANTS = {
         "survivors.append((total, mass))",
         "renormalized kthm divides by the survivors' mass, which differs"
         " between actions when the trim sheds different weights",
+        DIFFERENTIAL,
     ),
     "exact-renormalized": (
         "functionals.py",
-        "(kept if renormalized else self.den) * self.scale",
-        "self.den * self.scale",
+        "Fraction(total, kept * self.scale)",
+        "Fraction(total, self.den * self.scale)",
         "a renormalized mean is divided by its survivor mass, which is below"
         " the whole mass whenever the trim sheds a theory",
+        DIFFERENTIAL,
+    ),
+    "exact-key": (
+        "functionals.py",
+        "for s in scores], _dense_ranks(scores)",
+        "for s in scores], _dense_ranks(scores[::-1])",
+        "the ranking aggregate prints is the key of the scores it prints;"
+        " a key of the actions in another order ranks the wrong actions",
+        DIFFERENTIAL,
+    ),
+    "exact-renormalized-key": (
+        "functionals.py",
+        "return scores, _dense_ranks(_renormalize(survivors))",
+        "return scores, _dense_ranks([total for total, _ in survivors])",
+        "renormalized means are ranked by t / m; the survivor sums alone"
+        " misorder actions whose survivor masses differ",
+        DIFFERENTIAL,
+    ),
+    "mec-weights": (
+        "functionals.py",
+        "sum(w * v for bit, w, v in rows if mask & bit)",
+        "sum(v for bit, w, v in rows if mask & bit)",
+        "the mean weighs each evaluation by its credence; an unweighted sum"
+        " ranks a subset of unequal credences wrongly",
+        DIFFERENTIAL,
+    ),
+    "maximin-mask": (
+        "functionals.py",
+        "min(v for bit, _, v in rows if mask & bit)",
+        "min(v for bit, _, v in rows)",
+        "a subset's minimum is over its own theories; over all of them, every"
+        " subset ranks like the full framework",
+        DIFFERENTIAL,
+    ),
+    "mass-mask": (
+        "functionals.py",
+        "return sum(w for bit, w in zip(self.bits, self.weights) if mask & bit)",
+        "return self.den",
+        "a subset's trim is cut at k times its own mass; the whole mass lets"
+        " a proper subset shed more than k of itself",
+        DIFFERENTIAL,
+    ),
+    "key-order": (
+        "functionals.py",
+        "return _dense_ranks(self.score(mask))",
+        "return _dense_ranks(self.score(mask)[::-1])",
+        "a key gives each action its own score's rank; read in another order,"
+        " a dominance check reports the wrong rankings",
+        DIFFERENTIAL,
+    ),
+    "key-at-index": (
+        "functionals.py",
+        "return _dense_ranks([column[a] for column in columns])",
+        "return _dense_ranks([column[a ^ 1] for column in columns])",
+        "a reported subset's complement is ranked from its own index of the"
+        " block; a neighbour's scores give another ranking",
+        DIFFERENTIAL,
+    ),
+    "keys-ids": (
+        "functionals.py",
+        "if t.id in ids)",
+        "if t.id not in ids)",
+        "the subset named by ids is the candidate; its complement in its"
+        " place swaps the dominant and the yielding rankings",
+        DIFFERENTIAL,
+    ),
+    "side-credence": (
+        "functionals.py",
+        "Fraction(mass, den)",
+        "Fraction(den - mass, den)",
+        "a reported subset's credence is its own mass over den, not its"
+        " complement's",
+        DIFFERENTIAL,
     ),
     "table-doubling": (
         "functionals.py",
@@ -164,6 +257,7 @@ MUTANTS = {
         "table = list(map(join, table, repeat(item))) + table",
         "the masks with item i follow the 2^i masks without it; put first,"
         " every entry sits at the index of another subset",
+        DIFFERENTIAL,
     ),
     "high-table-index": (
         "functionals.py",
@@ -172,6 +266,7 @@ MUTANTS = {
         "block b's high part is entry b of the high table; the entry of"
         " another block adds the wrong theories to every mec and maximin"
         " column",
+        DIFFERENTIAL,
     ),
     "hm-high-place-index": (
         "functionals.py",
@@ -179,6 +274,7 @@ MUTANTS = {
         "z = place_hi[b ^ 1]",
         "the hm walk reads block b's high theories at their places in the"
         " value order; another block's places walk the wrong rows",
+        DIFFERENTIAL,
     ),
     "id-table-halves": (
         "functionals.py",
@@ -186,6 +282,7 @@ MUTANTS = {
         "ids_hi, ids_lo = split(",
         "index a names the low places and block b the high ones; swapped,"
         " a reported subset carries other theories' ids",
+        DIFFERENTIAL,
     ),
     "order-rank-bit": (
         "functionals.py",
@@ -194,6 +291,7 @@ MUTANTS = {
         "a member at place p lowers the key by 2^p, so the smallest id,"
         " at the highest place, comes first among subsets of one size;"
         " adding the places reverses that order",
+        DIFFERENTIAL,
     ),
     "layout-descending": (
         "functionals.py",
@@ -201,6 +299,7 @@ MUTANTS = {
         "key=ids.__getitem__)",
         "the order key reads the smallest id at the highest place; in"
         " ascending layout, subsets of one size come out in reverse",
+        DIFFERENTIAL,
     ),
     "block-hm-second-row": (
         "functionals.py",
@@ -208,6 +307,7 @@ MUTANTS = {
         "column.append(2 * value_at[bit])",
         "at an exact half the block's median averages the row before the"
         " stop with the stop row, as the per-mask scan does",
+        DIFFERENTIAL,
     ),
     "block-kthm-top-cap": (
         "functionals.py",
@@ -215,6 +315,7 @@ MUTANTS = {
         "if top + w >= cap:",
         "a high suffix of weight exactly the cap is shed in a block as in"
         " the per-mask trim; stopping before it keeps a row",
+        DIFFERENTIAL,
     ),
     "block-cross-multiply": (
         "functionals.py",
@@ -222,6 +323,7 @@ MUTANTS = {
         "step = map(same, walk(ti), walk(tj))",
         "renormalized means t / m compare by cross-multiplying; survivor"
         " sums alone misorder actions whose survivor masses differ",
+        DIFFERENTIAL,
     ),
     "min-table-empty": (
         "functionals.py",
@@ -230,6 +332,7 @@ MUTANTS = {
         "the empty entry of a table of minima must lose every comparison;"
         " 0 becomes the least value of every subset whose values are all"
         " positive",
+        DIFFERENTIAL,
     ),
     "renormalize-lcm": (
         "functionals.py",
@@ -237,6 +340,7 @@ MUTANTS = {
         "common = max(kept for _, kept in survivors)",
         "each mean t / m is scaled by a common multiple of every m; below"
         " it, common // m floors, and means that differ can tie or swap",
+        DIFFERENTIAL,
     ),
     "dense-ranks-ties": (
         "core.py",
@@ -244,13 +348,63 @@ MUTANTS = {
         "distinct = sorted(scores)",
         "ranks are places among the distinct scores; counting each tied"
         " score again leaves a rank that no action holds",
+        DIFFERENTIAL,
     ),
     "credence-sum": (
         "core.py",
         "if sum(weights) != den:",
         "if sum(weights) > den:",
         "credences that sum to less than one are a defect, raised as"
-        " CredenceSumNotOne, not only those that sum to more",
+        " CredenceSumNotOne, not only those that sum to more; validation"
+        " and extend share this one check",
+        CORE,
+    ),
+    "to-rational-sign": (
+        "core.py",
+        'return Fraction(-value if token[0] == "-" else value, scale)',
+        "return Fraction(value, scale)",
+        "a negative decimal literal keeps its sign: -0.5 is -1/2",
+        CORE,
+    ),
+    "extend-scaling": (
+        "core.py",
+        "Fraction(c.numerator * num, c.denominator * d)",
+        "Fraction(c.numerator * d, c.denominator * num)",
+        "each old credence is scaled by 1 - new_mass = num / d, not divided"
+        " by it",
+        CORE,
+    ),
+    "extend-unchecked": (
+        "core.py",
+        "_credence_weights(framework)  # the old credences must sum to 1",
+        "pass  # the old credences go unchecked",
+        "old credences that miss 1 would be rescaled as if they summed to it;"
+        " extend raises CredenceSumNotOne instead",
+        CORE,
+    ),
+    "write-unsorted-keys": (
+        "cli.py",
+        "for key in sorted(items):",
+        "for key in items:",
+        "--json sorts mapping keys, as json.dumps(sort_keys=True) did;"
+        " insertion order moves bytes",
+        WRITER,
+    ),
+    "write-unescaped-keys": (
+        "cli.py",
+        'out(f"{sep}{_quote(key)}: ")',
+        """out(f'{sep}"{key}": ')""",
+        "a key with a quote, a backslash or a non-ASCII character must be"
+        " escaped as json.dumps escapes it",
+        WRITER,
+    ),
+    "directive-getattr": (
+        "scenario.py",
+        "handler = self._HANDLERS.get(words[0])",
+        "handler = getattr(type(self), words[0], None) or self._HANDLERS.get(words[0])",
+        "a directive word is looked up in the handler table only; by"
+        " attribute, words such as feed or __init__ reach parser internals",
+        ("tests/test_scenario.py",),
     ),
 }
 
@@ -258,15 +412,15 @@ MUTANTS = {
 def check(mutants: dict) -> list[str]:
     """A line for each entry whose old text does not occur exactly once."""
     stale = []
-    for name, (file, old, _, _) in mutants.items():
+    for name, (file, old, *_) in mutants.items():
         count = (ROOT / "src" / "moralagg" / file).read_text().count(old)
         if count != 1:
             stale.append(f"{name}: old text occurs {count} times in {file}")
     return stale
 
 
-def run(mutant) -> tuple[str, str, float]:
-    """Copy the tree, apply ``mutant`` (or nothing), and run the differential files.
+def run(mutant, files) -> tuple[str, str, float]:
+    """Copy the tree, apply ``mutant`` (or nothing), and run the test ``files``.
 
     Returns the outcome (``passed``, ``failed`` or ``timeout``), the
     first failing test or the timeout, and the seconds taken.
@@ -274,13 +428,13 @@ def run(mutant) -> tuple[str, str, float]:
     with tempfile.TemporaryDirectory(prefix="moralagg-mutant-") as tmp:
         work = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
-        shutil.copytree(ROOT / "src", work / "src", ignore=skip)
-        shutil.copytree(ROOT / "tests", work / "tests", ignore=skip)
+        for folder in COPIED:
+            shutil.copytree(ROOT / folder, work / folder, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", work)
         with open(work / "tests" / "conftest.py", "a") as conftest:
             conftest.write(PROFILE)
         if mutant is not None:
-            file, old, new, _ = mutant
+            file, old, new = mutant
             path = work / "src" / "moralagg" / file
             path.write_text(path.read_text().replace(old, new))
         command = [
@@ -290,7 +444,7 @@ def run(mutant) -> tuple[str, str, float]:
         start = time.perf_counter()
         try:
             done = subprocess.run(
-                command + list(FILES),
+                command + list(files),
                 cwd=work,
                 capture_output=True,
                 text=True,
@@ -317,16 +471,17 @@ def main() -> int:
     if stale:
         print("\n".join(stale), file=sys.stderr)
         return 1
-    outcome, test, took = run(None)
-    print(f"{'unmutated':20} {outcome:9} {took:6.1f} s {test}", flush=True)
+    files = dict.fromkeys(f for *_, tests in MUTANTS.values() for f in tests)
+    outcome, test, took = run(None, files)
+    print(f"{'unmutated':24} {outcome:9} {took:6.1f} s {test}", flush=True)
     if outcome != "passed":
         return 1
     killed = 0
-    for name, mutant in MUTANTS.items():
-        outcome, test, took = run(mutant)
+    for name, (file, old, new, _, tests) in MUTANTS.items():
+        outcome, test, took = run((file, old, new), tests)
         verdict = {"passed": "survived", "failed": "killed"}.get(outcome, outcome)
         killed += verdict == "killed"
-        print(f"{name:20} {verdict:9} {took:6.1f} s {test}", flush=True)
+        print(f"{name:24} {verdict:9} {took:6.1f} s {test}", flush=True)
     print(f"{killed} of {len(MUTANTS)} killed")
     return 0 if killed == len(MUTANTS) else 1
 

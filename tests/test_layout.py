@@ -16,12 +16,19 @@
 - The integer compile's form belongs to ``functionals``: no other module
   in ``src/moralagg`` takes the attribute ``rows``, ``scale``, ``score``,
   ``trim`` or ``weights``, nor those of its block layout, ``blocks``,
-  ``flags`` or ``columns``.  They ask ``_Compiled`` for keys, masses,
-  dominant sides, exact scores and theory ids instead.
+  ``flags`` or ``columns``.  They ask ``_Compiled`` for keys, dominant
+  sides, exact scores and theory ids instead.
 - Enumeration takes each subset's ids and place in the result order from
   ``_Compiled.sides``: ``fanaticism`` imports no ``_subset_table``, and
-  ``enumerate_dominant_subsets`` reads no theory bits or ids, does no
-  mask arithmetic and sorts once.
+  ``enumerate_dominant_subsets`` reads no theory bits or ids and sorts
+  once.
+- Subset masks belong to ``functionals``: no code in ``fanaticism`` does
+  mask arithmetic (``& | ^ << >>``) or takes ``bits``, ``everyone``,
+  ``den``, ``mass`` or ``key`` from a compile; it names subsets by
+  theory ids.
+- The full framework's ranking comes from the compile's integer key:
+  ``fanaticism`` imports no ``_dense_ranks``, and ``aggregate`` calls no
+  ``ranking_from_scores``.
 """
 
 import ast
@@ -161,11 +168,52 @@ def test_enumeration_reads_ids_and_order_from_sides():
     attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     assert "sides" in attributes
     assert not attributes & {"bits", "theory_ids", "sort", "blocks"}
-    masking = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.LShift, ast.RShift)
-    assert not [node for node in nodes if isinstance(node, ast.BinOp) and isinstance(node.op, masking)]
     sorts = [
         node
         for node in nodes
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sorted"
     ]
     assert len(sorts) == 1
+
+
+def test_only_functionals_builds_subset_masks():
+    tree = ast.parse((SOURCE / "fanaticism.py").read_text())
+    masking = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.LShift, ast.RShift)
+    arithmetic = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, masking)
+    ]
+    assert arithmetic == []
+    # Attributes of ``self`` are the module's own (an error's ``mass``).
+    taken = sorted(
+        f"{node.lineno}:{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"bits", "everyone", "den", "mass", "key"}
+        and getattr(node.value, "id", None) != "self"
+    )
+    assert taken == []
+
+
+def test_full_rankings_come_from_the_compile_key():
+    tree = ast.parse((SOURCE / "fanaticism.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "_dense_ranks" not in imported
+    tree = ast.parse((SOURCE / "functionals.py").read_text())
+    (aggregate,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "aggregate"
+    ]
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(aggregate)
+        if isinstance(node, ast.Call)
+    }
+    assert "ranking_from_scores" not in called

@@ -32,15 +32,19 @@ tables, plus the most block entries alive at once, stay within
 ``is_dominant_subset``, ``_Compiled.key`` and the witnesses build no
 table.  Every compile is freed by reference counting alone as its call
 returns, and ``core._dense_ranks`` runs once for the full framework and
-once per reported subset.  Within one call, subsets whose complements
-rank alike share one verdict.
+once per reported subset.  No library path, from ``aggregate`` to the
+audit, hands ``core._dense_ranks`` a ``Fraction``: every ranking is the
+compile's integer key.  Within one call, subsets whose complements rank
+alike share one verdict.
 """
 
 import gc
+import importlib
 import itertools
 import random
 import weakref
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -53,10 +57,13 @@ from moralagg import (
     aggregate,
     core,
     enumerate_dominant_subsets,
-    fanaticism,
     functionals,
     is_dominant_subset,
+    probe_hm_non_fanatical,
+    probe_kthm_non_fanatical,
+    run_audit,
     witness_kthm,
+    witness_maximin,
     witness_mec,
 )
 from moralagg.core import _ranking, restrict
@@ -131,11 +138,13 @@ def assert_tables_match_per_mask(spec, framework, actions):
         if keys[mask] == keys[everyone] != keys[everyone ^ mask]:
             combo = frozenset(tid for tid, bit in ids if mask & bit)
             order = order_key(combo, framework)
-            reported[combo] = (compiled.mass(mask), order, keys[everyone ^ mask])
-            yielding = _ranking(actions, keys[everyone ^ mask])
             credence = F(compiled.mass(mask), compiled.den)
+            reported[combo] = (credence, order, keys[everyone ^ mask])
+            yielding = _ranking(actions, keys[everyone ^ mask])
             walked.append((order, (combo, credence, full, full, yielding)))
-    sides = [(side, rest) for side, *rest in compiled.sides(keys[everyone])]
+    full_key, found = compiled.sides()
+    assert full_key == keys[everyone]
+    sides = [(side, rest) for side, *rest in found]
     assert len(sides) == len(reported)
     assert {side: tuple(rest) for side, rest in sides} == reported
     walked.sort(key=lambda entry: entry[0])
@@ -380,6 +389,24 @@ def test_compiles_are_freed_without_the_cycle_collector(monkeypatch):
         gc.enable()
 
 
+def patch_dense_ranks(monkeypatch, wrapper):
+    """Put ``wrapper`` for ``core._dense_ranks`` in every module that holds it.
+
+    Returns the names of those modules, so that a caller can tell which
+    modules still rank.
+    """
+    original = core._dense_ranks
+    holders = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        if path.stem.startswith("__"):
+            continue
+        module = importlib.import_module(f"moralagg.{path.stem}")
+        if getattr(module, "_dense_ranks", None) is original:
+            monkeypatch.setattr(module, "_dense_ranks", wrapper)
+            holders.append(path.stem)
+    return holders
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=SwfSpec.label)
 def test_dense_ranks_once_per_reported_subset(spec, monkeypatch):
     calls = []
@@ -389,8 +416,7 @@ def test_dense_ranks_once_per_reported_subset(spec, monkeypatch):
         calls.append(len(scores))
         return original(scores)
 
-    for module in (core, functionals, fanaticism):
-        monkeypatch.setattr(module, "_dense_ranks", counting)
+    assert patch_dense_ranks(monkeypatch, counting) == ["core", "functionals"]
     rng = random.Random(17_100)
     reported = 0
     for nt in (6, 9, 10):
@@ -400,6 +426,33 @@ def test_dense_ranks_once_per_reported_subset(spec, monkeypatch):
         assert len(calls) <= len(found) + 1, nt
         reported += len(found)
     assert reported
+
+
+def test_rankings_come_from_integer_keys(monkeypatch):
+    # Every ranking the library builds, of the full framework too, comes
+    # from the compile's integer key: no path hands exact Fractions to the
+    # grouping rule, which hashes them.
+    ranked = []
+    original = core._dense_ranks
+
+    def integers_only(scores):
+        ranked.append([type(s).__name__ for s in scores if not isinstance(s, int)])
+        return original(scores)
+
+    patch_dense_ranks(monkeypatch, integers_only)
+    framework, actions = random_framework(random.Random(17_200), (7, 7))
+    for spec in SPECS:
+        aggregate(spec, framework, actions)
+        enumerate_dominant_subsets(spec, framework, actions)
+    witness_mec(framework, actions, "1/100")
+    witness_maximin(framework, actions, "1/100")
+    witness_kthm(framework, actions, "1/10", "1/5")
+    adversary = [(Theory("x", {"a": 5, "b": -5}), "1/20")]
+    assert probe_kthm_non_fanatical("1/10", adversary)
+    assert probe_hm_non_fanatical("1/10", adversary)
+    run_audit(seed=7, trials=2)
+    assert ranked
+    assert [kinds for kinds in ranked if kinds] == []
 
 
 def small_framework(rng, nt, na, values):
