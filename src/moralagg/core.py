@@ -488,8 +488,6 @@ def ranking_from_scores(scores: ScoreTable) -> Ranking:
     Equal rationals share a group; any nonzero difference separates
     groups.  The worst group comes first.
     """
-    if not scores:
-        raise ValueError("cannot rank an empty score table")
     return _ranking(scores, _dense_ranks([to_rational(s) for s in scores.values()]))
 
 
@@ -507,6 +505,8 @@ def _dense_ranks(scores: Sequence) -> tuple[int, ...]:
 
 def _ranking(actions: Iterable[ActionId], ranks: Sequence[int]) -> Ranking:
     """The ranking whose groups are the actions of equal dense rank, worst first."""
+    if not ranks:
+        raise ValueError("cannot rank an empty score table")
     groups: list[list[ActionId]] = [[] for _ in range(max(ranks) + 1)]
     for action, rank in zip(actions, ranks):
         groups[rank].append(action)

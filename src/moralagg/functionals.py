@@ -31,7 +31,7 @@ import enum
 from fractions import Fraction
 from itertools import compress, count, repeat
 from math import inf, lcm
-from operator import add, and_, eq, itemgetter, lt, mul, or_, sub
+from operator import add, and_, eq, floordiv, itemgetter, lt, mul, or_, sub
 from typing import Callable, Collection, Iterator, Optional, Sequence, Union
 
 from .core import (
@@ -318,22 +318,21 @@ class _Compiled:
         theories take places ``0 .. n - 1`` in descending order of id, so
         that the theory whose id ranks ``r`` in sorted order sits at place
         ``n - 1 - r``.  A layout mask over those places splits into its
-        ``h`` low places and the rest: ``h = n // 2``, or ``(n - 1) // 2``
-        for renormalized ``kthm``, which keeps two columns per action.
-        Block ``b`` holds the ``2^h`` layout masks ``a | b << h``.  Each
-        half of a sum (or union, or minimum) over the theories is a
-        lookup in a subset table (:func:`_subset_table`): ``lo[a]`` over
-        the low places, ``hi[b]`` over the high ones.  ``kthm``, whose
-        walks need two tables per action, keeps its high halves as lists
-        and folds them once per block instead, so that the tables and two
-        blocks stay within the memory bound.
+        ``h = n // 2`` low places and the rest, under every rule.  Block
+        ``b`` holds the ``2^h`` layout masks ``a | b << h``.  Each half of
+        a sum (or union, or minimum) over the theories is a lookup in a
+        subset table (:func:`_subset_table`): ``lo[a]`` over the low
+        places, ``hi[b]`` over the high ones.  ``kthm``, whose walks need
+        two tables per action, keeps its high halves as lists and folds
+        them once per block instead, so that the tables and two blocks
+        stay within the memory bound.
 
         This returns the low tables of the masses and of the ids, and
         ``block``: ``block(b)`` returns block ``b``'s high mass, the
-        ``frozenset`` of its high ids and the score columns, one per
-        action (renormalized ``kthm``: a pair, survivor sums and masses),
-        each indexed by ``a``; :func:`_alike` tests them against a key and
-        :func:`_key_at` reads one mask's key.  Per action:
+        ``frozenset`` of its high ids and the score columns, one list of
+        integers per action, each indexed by ``a``; :func:`_alike` tests
+        them against a key and :func:`_key_at` reads one mask's key.  Per
+        action:
 
         - ``mec`` sums each theory's ``weight * value``;
         - ``maximin`` takes the least value, from tables of minima whose
@@ -346,19 +345,21 @@ class _Compiled:
           from the low end, and by ``p.bit_length()`` from the high end.
           ``kthm`` clears the bits the trim sheds from both ends of ``p``
           and subtracts their ``weight * value`` from the mask's ``mec``
-          sum; renormalized, each survivor mass is a second column.
+          sum.  Renormalized, the block then folds each mask's survivor
+          sums ``t`` into ``t * (L // m)``, ``L`` the lcm of the mask's
+          survivor masses ``m``, as :meth:`score` keys a mask.
           ``hm`` walks from the low end only, to the first row past the
           half cap; at an exact half the row before it is the second
           median row, as :meth:`_hm` argues.
 
         The tables and two blocks hold ``O(actions * 2^(n/2))`` entries.
         Index 0 of block 0 is the empty mask, whose entries mean nothing;
-        place bit 0 weighs 1 and is worth 0, so its walks stop at once.
+        place bit 0 weighs 1 and is worth 0, so its walks stop at once,
+        and its survivor mass 0 is taken as 1 for the fold.
         """
         n = len(self.weights)
         kind = self.spec.kind
-        renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
-        h = (n - 1) // 2 if renormalized else n // 2
+        h = n // 2
         ids = [t.id for t in self.theories]
         layout = sorted(range(n), key=ids.__getitem__, reverse=True)
         tables = kind is not SwfKind.KTHM
@@ -440,6 +441,7 @@ class _Compiled:
                 return y, ids_hi[b], columns
 
         else:
+            renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
             orders = []
             for rows in self.rows.values():
                 # By place, and by place bit: weights and weight * value.
@@ -462,7 +464,7 @@ class _Compiled:
                 y = sum(compress(mass_hi, high))
                 masses = [x + y for x in mass_lo]
                 capped = caps(masses)
-                columns = []
+                columns, survivor_masses = [], []
                 for (
                     place_lo, place_hi, sum_lo, sum_hi,
                     weight_at, product_at, weights, products,
@@ -491,8 +493,15 @@ class _Compiled:
                             p ^= place_bits[j]
                         totals.append(t + s - shed)
                         if renormalized:
-                            kept.append(whole - bottom - top)
-                    columns.append((totals, kept) if renormalized else totals)
+                            kept.append(whole - bottom - top or 1)
+                    columns.append(totals)
+                    survivor_masses.append(kept)
+                if renormalized:
+                    common = list(map(lcm, *survivor_masses))
+                    columns = [
+                        list(map(mul, totals, map(floordiv, common, kept)))
+                        for totals, kept in zip(columns, survivor_masses)
+                    ]
                 return y, frozenset().union(*compress(ids_hi, high)), columns
 
         return mass_lo, ids_lo, block
@@ -527,12 +536,11 @@ class _Compiled:
         n, den = len(self.weights), self.den
         size = len(mass_lo)
         low, top = size - 1, (1 << n) // size - 1
-        renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
         links = _links(full)
         for b in range(top // 2 + 1):
             (y, ids_y, mine), (z, ids_z, theirs) = block(b), block(top ^ b)
-            ahead = _alike(mine, links, renormalized, size, iter)
-            behind = _alike(theirs, links, renormalized, size, reversed)
+            ahead = _alike(mine, links, size, iter)
+            behind = _alike(theirs, links, size, reversed)
             # Signed 1 + a: positive where only mask a of block b is alike,
             # negative where only its complement is, missing where neither.
             for s in filter(None, map(mul, map(sub, ahead, behind), count(1))):
@@ -542,10 +550,10 @@ class _Compiled:
                 c = low ^ a
                 if s > 0:
                     m, ids, mass = b * size + a, ids_lo[a] | ids_y, mass_lo[a] + y
-                    key = _key_at(theirs, c, renormalized)
+                    key = _key_at(theirs, c)
                 else:
                     m, ids, mass = (top ^ b) * size + c, ids_lo[c] | ids_z, mass_lo[c] + z
-                    key = _key_at(mine, a, renormalized)
+                    key = _key_at(mine, a)
                 yield ids, Fraction(mass, den), (m.bit_count() << n) - m, key
             del mine, theirs, ahead, behind  # two blocks alive at a time, not four
 
@@ -601,32 +609,21 @@ def _links(key: Sequence[int]) -> list[tuple[int, int, Callable]]:
     return [(i, j, eq if key[i] == key[j] else lt) for i, j in zip(order, order[1:])]
 
 
-def _alike(
-    columns: list, links: list, renormalized: bool, size: int, walk: Callable
-) -> Iterator[bool]:
+def _alike(columns: list, links: list, size: int, walk: Callable) -> Iterator[bool]:
     """Whether each mask of a block has the key whose chain is ``links``.
 
     That is ``len(links)`` comparisons of whole columns, with no sort;
     ``walk`` is ``iter``, or ``reversed`` to read the block from its
-    last index.  Renormalized ``kthm`` compares the
-    means ``t_i / m_i`` and ``t_j / m_j`` as ``t_i * m_j`` against
-    ``t_j * m_i``; every mass is positive.
+    last index.
     """
     flags = repeat(True, size)
     for i, j, same in links:
-        if renormalized:
-            (ti, mi), (tj, mj) = columns[i], columns[j]
-            step = map(same, map(mul, walk(ti), walk(mj)), map(mul, walk(tj), walk(mi)))
-        else:
-            step = map(same, walk(columns[i]), walk(columns[j]))
-        flags = map(and_, flags, step)
+        flags = map(and_, flags, map(same, walk(columns[i]), walk(columns[j])))
     return flags
 
 
-def _key_at(columns: list, a: int, renormalized: bool) -> tuple[int, ...]:
+def _key_at(columns: list, a: int) -> tuple[int, ...]:
     """The key of the mask at low index ``a`` of a block with ``columns``."""
-    if renormalized:
-        return _dense_ranks(_renormalize([(t[a], m[a]) for t, m in columns]))
     return _dense_ranks([column[a] for column in columns])
 
 
@@ -765,6 +762,4 @@ def aggregate(
     scale, and the ranking is the key of the integer scores.
     """
     scores, key = _Compiled(spec, framework, actions).exact()
-    if not key:
-        raise ValueError("cannot rank an empty score table")
     return AggregateResult(spec, dict(zip(actions, scores)), _ranking(actions, key))

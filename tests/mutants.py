@@ -68,8 +68,8 @@ settings.register_profile(
 MUTANTS = {
     "pair-flag-index": (
         "functionals.py",
-        "behind = _alike(theirs, links, renormalized, size, reversed)",
-        "behind = _alike(theirs, links, renormalized, size, iter)",
+        "behind = _alike(theirs, links, size, reversed)",
+        "behind = _alike(theirs, links, size, iter)",
         "a mask's complement in block top ^ b sits at index low ^ a, not a;"
         " reading that block forwards compares a mask with an unrelated one",
         DIFFERENTIAL,
@@ -317,12 +317,21 @@ MUTANTS = {
         " the per-mask trim; stopping before it keeps a row",
         DIFFERENTIAL,
     ),
-    "block-cross-multiply": (
+    "block-fold-lcm": (
         "functionals.py",
-        "step = map(same, map(mul, walk(ti), walk(mj)), map(mul, walk(tj), walk(mi)))",
-        "step = map(same, walk(ti), walk(tj))",
-        "renormalized means t / m compare by cross-multiplying; survivor"
-        " sums alone misorder actions whose survivor masses differ",
+        "common = list(map(lcm, *survivor_masses))",
+        "common = list(map(max, *survivor_masses))",
+        "a block folds each mean t / m into t * (L // m) with L a common"
+        " multiple of the mask's survivor masses; below it, L // m floors,"
+        " and means that differ can tie or swap",
+        DIFFERENTIAL,
+    ),
+    "block-fold-factor": (
+        "functionals.py",
+        "list(map(mul, totals, map(floordiv, common, kept)))",
+        "totals",
+        "renormalized means are ranked by t / m; a block's survivor sums"
+        " alone misorder actions whose survivor masses differ",
         DIFFERENTIAL,
     ),
     "min-table-empty": (

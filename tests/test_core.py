@@ -729,6 +729,10 @@ class TestRanking:
             assert r.groups == tuple(map(frozenset, groups))
             assert r.maximal_group() == groups[-1]
 
+    def test_empty_score_table_rejected(self):
+        with pytest.raises(ValueError, match="^cannot rank an empty score table$"):
+            ranking_from_scores({})
+
     def test_str_is_worst_to_best(self):
         r = ranking_from_scores({"a": 1, "b": 0, "c": 1})
         assert str(r) == "b ≺ a ~ c"

@@ -110,6 +110,23 @@ class TestIsDominantSubset:
             is_dominant_subset(SwfSpec.mec(), framework, actions, {"ghost"})
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda framework: is_dominant_subset(SwfSpec.mec(), framework, [], {"u"}),
+        lambda framework: enumerate_dominant_subsets(SwfSpec.hm(), framework, []),
+        lambda framework: aggregate(SwfSpec.kthm("1/10", "renormalized"), framework, []),
+    ],
+    ids=["is_dominant_subset", "enumerate_dominant_subsets", "aggregate"],
+)
+def test_empty_action_list_is_an_empty_score_table(call):
+    # A plain empty sequence, unlike an ActionSet, reaches the ranking:
+    # every entry point rejects it with the one message of core._ranking.
+    framework, _ = frobo()
+    with pytest.raises(ValueError, match="^cannot rank an empty score table$"):
+        call(framework)
+
+
 class TestEnumerateDominantSubsets:
     def test_frobo_under_the_mean(self):
         framework, actions = frobo()

@@ -14,9 +14,11 @@ plus ``kthm`` at 0, 1/7 and 49/100 in both modes:
 - at 9 and 10 theories, the enumeration against one ranking per subset
   from ``restrict`` plus ``reference.py``;
 - at 11 to 14 theories, every subset's ids, flag, mass and key,
-  dense-ranked from its block's columns, against ``_Compiled.key`` and
-  ``_Compiled.mass``, and the reported sides (with their order keys)
-  and the enumeration against a walk of those per-mask keys;
+  dense-ranked from its block's columns, one list of integers per
+  action in blocks of ``2^(n // 2)`` masks under every rule, against
+  ``_Compiled.key`` and ``_Compiled.mass``, and the reported sides
+  (with their order keys) and the enumeration against a walk of those
+  per-mask keys;
 - at 9 and 10 theories whose ids sort in another order than they are
   declared, the enumeration's order: by size, then by sorted ids;
 - on built frameworks with uniform and with dyadic credences, where the
@@ -107,17 +109,17 @@ def assert_tables_match_per_mask(spec, framework, actions):
     and the enumeration equal a walk of the per-mask keys."""
     compiled = _Compiled(spec, framework, actions)
     everyone = compiled.everyone
-    renormalized = spec.trim_mode is TrimMode.RENORMALIZED
     ids = list(zip(framework.theory_ids(), compiled.bits))
     keys = {everyone: compiled.key(everyone)}
     links = functionals._links(keys[everyone])
     masses, ids_lo, block = compiled.blocks()
     size = len(masses)
+    assert size == 2 ** (len(framework.theories) // 2)
     assert len(ids_lo) == size
     seen = set()
     for b in range((everyone + 1) // size):
         high, ids_high, columns = block(b)
-        flags = list(functionals._alike(columns, links, renormalized, size, iter))
+        flags = list(functionals._alike(columns, links, size, iter))
         assert len(flags) == size
         for a in range(size):
             subset = ids_lo[a] | ids_high
@@ -127,7 +129,7 @@ def assert_tables_match_per_mask(spec, framework, actions):
             if not mask:
                 continue
             keys[mask] = compiled.key(mask)
-            assert functionals._key_at(columns, a, renormalized) == keys[mask], mask
+            assert functionals._key_at(columns, a) == keys[mask], mask
             assert flags[a] == (keys[mask] == keys[everyone]), mask
             assert masses[a] + high == compiled.mass(mask), mask
     assert len(seen) == everyone + 1
@@ -290,16 +292,11 @@ def live_block_entries(monkeypatch):
 
     def blocks(self):
         masses, ids, block = original(self)
-        renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
 
         def counting(b):
             high, ids_high, columns = block(b)
-            if renormalized:
-                columns = [tuple(map(Tracked, pair)) for pair in columns]
-                held = [column for pair in columns for column in pair]
-            else:
-                columns = held = list(map(Tracked, columns))
-            live.extend(map(weakref.ref, held))
+            columns = list(map(Tracked, columns))
+            live.extend(map(weakref.ref, columns))
             live[:] = [ref for ref in live if ref() is not None]
             counts.append(sum(len(ref()) for ref in live))
             return high, ids_high, columns
@@ -521,7 +518,7 @@ def test_small_and_odd_theory_counts_match_reference(spec, nt):
 def test_renormalized_means_tied_across_survivor_masses():
     # Two actions whose renormalized means tie in the full framework,
     # t1 / m1 == t2 / m2, from different survivor sums and masses: the
-    # chain compares them by cross-multiplying.
+    # block folds each sum t into t * (L // m), which ties them again.
     spec = SwfSpec.kthm("1/4", TrimMode.RENORMALIZED)
 
     def tied(framework, actions):
