@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import islice
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -371,6 +372,8 @@ def validate_framework(
 
     Raises
     ------
+    DuplicateActionId
+        Some action occurs twice in ``actions``.
     CredenceOutOfRange
         Some credence lies outside (0, 1].
     CredenceSumNotOne
@@ -379,6 +382,9 @@ def validate_framework(
     MissingEvaluation
         Some theory does not evaluate some action in ``actions``.
     """
+    for i, action in enumerate(actions):
+        if action in islice(actions, i):
+            raise DuplicateActionId(action)
     for theory in framework.theories:
         c = framework.credences[theory.id]
         if not (0 < c.numerator <= c.denominator):

@@ -206,16 +206,12 @@ def enumerate_dominant_subsets(
     gets the verdict :func:`is_dominant_subset` would give, one verdict
     shared by every side whose complement ranks alike.  Results are
     ordered by subset size, then lexicographically by ids: by the order
-    keys, in one sort.  A valid framework of fewer than two theories has
-    no nonempty proper subset and gives ``[]``.
+    keys, in one sort.
     """
     n = len(framework.theories)
     if n > max_theories:
         raise TooManyTheories(n, max_theories)
-    compiled = _Compiled(spec, framework, actions)
-    if n < 2:
-        return []
-    full_key, sides = compiled.sides()
+    full_key, sides = _Compiled(spec, framework, actions).sides()
     full = _ranking(actions, full_key)
     verdicts: dict[tuple[int, ...], DominanceVerdict] = {}
     found: dict[int, DominantSubset] = {}

@@ -171,11 +171,12 @@ class _Compiled:
     back out.
 
     ``key`` and ``mass`` scan every row of a mask, which suits the three
-    masks of a dominance check, at any number of theories.
-    :meth:`sides` spends ``O(actions * 2^(n/2))`` memory on ``n``
-    theories to score a whole block of subsets per action at once
-    (:meth:`blocks`), and tests each block against one key by comparing
-    columns instead of sorting a key per mask.
+    masks of a dominance check, at any number of theories.  :meth:`sides`
+    spends ``O(actions * 2^(n/2))`` memory on ``n`` theories to score a
+    whole block of subsets per action at once (:meth:`blocks`), and tests
+    each block against one key by comparing columns instead of sorting a key
+    per mask.  Masses and ids are table lookups under every rule; ``kthm``
+    folds its per-action place bits and ``mec`` sums once per block.
 
     The compile holds no reference to itself, so it is freed as soon as
     its caller drops it, without waiting for the cycle collector.
@@ -311,7 +312,7 @@ class _Compiled:
             hi -= 1
         return lo, hi, low + high
 
-    def blocks(self) -> tuple[list[int], list[frozenset], Callable]:
+    def blocks(self) -> tuple[list[int], list[int], list, list, Callable]:
         """Every subset of the theories, scored one block of subsets at a time.
 
         This is the one statement of the enumeration's layout.  The
@@ -322,17 +323,17 @@ class _Compiled:
         ``b`` holds the ``2^h`` layout masks ``a | b << h``.  Each half of
         a sum (or union, or minimum) over the theories is a lookup in a
         subset table (:func:`_subset_table`): ``lo[a]`` over the low
-        places, ``hi[b]`` over the high ones.  ``kthm``, whose walks need
-        two tables per action, keeps its high halves as lists and folds
-        them once per block instead, so that the tables and two blocks
-        stay within the memory bound.
+        places, ``hi[b]`` over the high ones.  Masses and ids are table
+        lookups under every rule.  ``kthm``, whose walks would need two
+        more tables per action, folds its per-action place bits and
+        ``mec`` sums once per block instead, so that the tables and two
+        blocks stay within the memory bound.
 
-        This returns the low tables of the masses and of the ids, and
-        ``block``: ``block(b)`` returns block ``b``'s high mass, the
-        ``frozenset`` of its high ids and the score columns, one list of
-        integers per action, each indexed by ``a``; :func:`_alike` tests
-        them against a key and :func:`_key_at` reads one mask's key.  Per
-        action:
+        This returns the low and high tables of the masses, those of the
+        ids, and ``block``: ``block(b)`` returns block ``b``'s score
+        columns, one list of integers per action, each indexed by ``a``;
+        :func:`_alike` tests them against a key and :func:`_key_at` reads
+        one mask's key.  Per action:
 
         - ``mec`` sums each theory's ``weight * value``;
         - ``maximin`` takes the least value, from tables of minima whose
@@ -362,24 +363,24 @@ class _Compiled:
         h = n // 2
         ids = [t.id for t in self.theories]
         layout = sorted(range(n), key=ids.__getitem__, reverse=True)
-        tables = kind is not SwfKind.KTHM
 
-        def split(items: list, join: Callable = add, empty=0) -> tuple[list, list]:
+        def split(items: list, join: Callable = add, empty=0, fold=False) -> tuple:
             """``items`` in layout order: the low table, and the high table or list."""
             items = [items[i] for i in layout]
             lo, hi = _subset_table(items[:h], join, empty), items[h:]
-            return lo, _subset_table(hi, join, empty) if tables else hi
+            return lo, hi if fold else _subset_table(hi, join, empty)
 
-        def places(rows: list) -> tuple[list, list]:
+        def places(rows: list, fold=False) -> tuple[list, list]:
             placed = [0] * n
             for j, (bit, _, _) in enumerate(rows):
                 placed[bit.bit_length() - 1] = 1 << j
-            return split(placed)
+            return split(placed, fold=fold)
 
-        def caps(masses: list) -> list:
-            """:meth:`_cap` of each of ``masses``, in one comprehension."""
+        def masses_and_caps(b: int) -> tuple[list, list]:
+            y = mass_hi[b]
+            masses = [x + y for x in mass_lo]
             num, den = self.level
-            return [num * m // den for m in masses]
+            return masses, [num * m // den for m in masses]
 
         # Place bit 0 first: by bit length, index j is place j - 1.
         place_bits = [0] + [1 << j for j in range(n)]
@@ -394,7 +395,7 @@ class _Compiled:
                 reads = [[v for _, _, v in rows] for rows in self.rows.values()]
             halves = [split(items, join, empty) for items in reads]
 
-            def block(b: int) -> tuple[int, frozenset, list]:
+            def block(b: int) -> list:
                 columns = []
                 for lo, hi in halves:
                     y = hi[b]
@@ -402,7 +403,7 @@ class _Compiled:
                         columns.append([x + y for x in lo])
                     else:
                         columns.append([x if x < y else y for x in lo])
-                return mass_hi[b], ids_hi[b], columns
+                return columns
 
         elif kind is SwfKind.HM:
             orders = [
@@ -414,15 +415,13 @@ class _Compiled:
                 for rows in self.rows.values()
             ]
 
-            def block(b: int) -> tuple[int, frozenset, list]:
-                y = mass_hi[b]
-                masses = [x + y for x in mass_lo]
-                capped = caps(masses)
+            def block(b: int) -> list:
+                masses, caps = masses_and_caps(b)
                 columns = []
                 for place_lo, place_hi, weight_at, value_at in orders:
                     z = place_hi[b]
                     column = []
-                    for x, whole, cap in zip(place_lo, masses, capped):
+                    for x, whole, cap in zip(place_lo, masses, caps):
                         p = x | z
                         walked = before = 0
                         while True:
@@ -438,7 +437,7 @@ class _Compiled:
                         else:
                             column.append(2 * value_at[bit])
                     columns.append(column)
-                return y, ids_hi[b], columns
+                return columns
 
         else:
             renormalized = self.spec.trim_mode is TrimMode.RENORMALIZED
@@ -449,9 +448,9 @@ class _Compiled:
                 products = [0] + [w * v for _, w, v in rows]
                 orders.append(
                     (
-                        *places(rows),
+                        *places(rows, fold=True),
                         # By theory, the mec sums.
-                        *split([w * v for _, w, v in sorted(rows)]),
+                        *split([w * v for _, w, v in sorted(rows)], fold=True),
                         dict(zip(place_bits, weights)),
                         dict(zip(place_bits, products)),
                         weights,
@@ -459,11 +458,9 @@ class _Compiled:
                     )
                 )
 
-            def block(b: int) -> tuple[int, frozenset, list]:
+            def block(b: int) -> list:
+                masses, caps = masses_and_caps(b)
                 high = [b >> j & 1 for j in range(n - h)]
-                y = sum(compress(mass_hi, high))
-                masses = [x + y for x in mass_lo]
-                capped = caps(masses)
                 columns, survivor_masses = [], []
                 for (
                     place_lo, place_hi, sum_lo, sum_hi,
@@ -472,7 +469,7 @@ class _Compiled:
                     z = sum(compress(place_hi, high))
                     s = sum(compress(sum_hi, high))
                     totals, kept = [], []
-                    for x, whole, cap, t in zip(place_lo, masses, capped, sum_lo):
+                    for x, whole, cap, t in zip(place_lo, masses, caps, sum_lo):
                         p = x | z
                         bottom = top = shed = 0
                         while True:
@@ -502,9 +499,9 @@ class _Compiled:
                         list(map(mul, totals, map(floordiv, common, kept)))
                         for totals, kept in zip(columns, survivor_masses)
                     ]
-                return y, frozenset().union(*compress(ids_hi, high)), columns
+                return columns
 
-        return mass_lo, ids_lo, block
+        return mass_lo, mass_hi, ids_lo, ids_hi, block
 
     def sides(self) -> tuple[tuple[int, ...], Iterator[tuple]]:
         """The full key, and each subset with it whose complement has another."""
@@ -525,20 +522,21 @@ class _Compiled:
         sorted ids.  The complement of index ``a`` in block ``b`` is index
         ``low ^ a`` in block ``top ^ b``, for ``low`` and ``top`` all ones,
         so the blocks without the top bit meet every pair of a nonempty
-        proper subset and its complement once, two blocks at a time.  Index
-        0 of block 0 is the empty mask, whose flag means nothing.  Only the
+        proper subset and its complement once, two blocks at a time; a
+        side's mass and ids are table lookups under every rule.  Index 0 of
+        block 0 is the empty mask, whose flag means nothing.  Only the
         complements of yielded subsets are keyed.  With one action every
         subset ranks alike, and nothing is built.
         """
         if len(full) < 2:
             return
-        mass_lo, ids_lo, block = self.blocks()
+        mass_lo, mass_hi, ids_lo, ids_hi, block = self.blocks()
         n, den = len(self.weights), self.den
         size = len(mass_lo)
-        low, top = size - 1, (1 << n) // size - 1
+        low, top = size - 1, len(mass_hi) - 1
         links = _links(full)
         for b in range(top // 2 + 1):
-            (y, ids_y, mine), (z, ids_z, theirs) = block(b), block(top ^ b)
+            mine, theirs = block(b), block(top ^ b)
             ahead = _alike(mine, links, size, iter)
             behind = _alike(theirs, links, size, reversed)
             # Signed 1 + a: positive where only mask a of block b is alike,
@@ -547,14 +545,13 @@ class _Compiled:
                 a = abs(s) - 1
                 if not (a or b):
                     continue
-                c = low ^ a
                 if s > 0:
-                    m, ids, mass = b * size + a, ids_lo[a] | ids_y, mass_lo[a] + y
-                    key = _key_at(theirs, c)
+                    i, j, key = a, b, _key_at(theirs, low ^ a)
                 else:
-                    m, ids, mass = (top ^ b) * size + c, ids_lo[c] | ids_z, mass_lo[c] + z
-                    key = _key_at(mine, a)
-                yield ids, Fraction(mass, den), (m.bit_count() << n) - m, key
+                    i, j, key = low ^ a, top ^ b, _key_at(mine, a)
+                m = j * size + i
+                credence = Fraction(mass_lo[i] + mass_hi[j], den)
+                yield ids_lo[i] | ids_hi[j], credence, (m.bit_count() << n) - m, key
             del mine, theirs, ahead, behind  # two blocks alive at a time, not four
 
     def shed(self, action: ActionId) -> tuple[frozenset, frozenset]:

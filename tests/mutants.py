@@ -1,8 +1,9 @@
-"""Mutants of the fast paths and the CLI front end, and a runner that checks them.
+"""Mutants of the fast paths, constructions and CLI front end, and their runner.
 
 The differential tests are the proof that every fast path equals the
-plain ``Fraction`` path, and the golden and writer tests pin the CLI's
-bytes; this catalogue shows that they would notice a fault.  Each entry
+plain ``Fraction`` path, the fanaticism tests pin the witnesses' and
+probes' constructions, and the golden, writer and parser tests pin the
+CLI's bytes; this catalogue shows that they would notice a fault.  Each entry
 is ``(file, old, new, why, tests)``: a file under ``src/moralagg``, a
 text that occurs in it exactly once, its replacement, why the mutant is
 not equivalent to the code, and the test files that must kill it.
@@ -50,6 +51,7 @@ DIFFERENTIAL = (
     "tests/test_subset_tables.py",
 )
 CORE = ("tests/test_core.py",)
+FANATICISM = ("tests/test_fanaticism.py",)
 WRITER = ("tests/test_json_writer.py", "tests/test_cli_golden.py")
 COPIED = ("src", "tests", "scenarios", "demos")
 TIMEOUT = 150
@@ -76,10 +78,34 @@ MUTANTS = {
     ),
     "pair-side-index": (
         "functionals.py",
-        "                c = low ^ a\n",
-        "                c = a\n",
-        "the reported side's complement is keyed, and a side in the block"
-        " top ^ b is named, at the wrong index",
+        "i, j, key = low ^ a, top ^ b,",
+        "i, j, key = a, top ^ b,",
+        "a side in the block top ^ b sits at index low ^ a; at index a it is"
+        " named, weighed and ordered as another subset",
+        DIFFERENTIAL,
+    ),
+    "pair-side-block": (
+        "functionals.py",
+        "i, j, key = low ^ a, top ^ b,",
+        "i, j, key = low ^ a, b,",
+        "a side whose complement is mask a of block b sits in block top ^ b;"
+        " in block b it carries the high ids and mass of the complement",
+        DIFFERENTIAL,
+    ),
+    "pair-key-index": (
+        "functionals.py",
+        "_key_at(theirs, low ^ a)",
+        "_key_at(theirs, a)",
+        "the complement of mask a of block b is index low ^ a of block"
+        " top ^ b; index a there gives another subset's ranking",
+        DIFFERENTIAL,
+    ),
+    "side-high-ids": (
+        "functionals.py",
+        "ids_lo[i] | ids_hi[j]",
+        "ids_lo[i] | ids_hi[b]",
+        "a side is named by the high ids of its own block j, which differs"
+        " from b for every side read from the mirrored block",
         DIFFERENTIAL,
     ),
     "pair-block-range": (
@@ -140,8 +166,8 @@ MUTANTS = {
     ),
     "block-cap-ceiling": (
         "functionals.py",
-        "return [num * m // den for m in masses]",
-        "return [-(-num * m // den) for m in masses]",
+        "return masses, [num * m // den for m in masses]",
+        "return masses, [-(-num * m // den) for m in masses]",
         "a block's walks cut at the same floor of k * M as the per-mask"
         " trim; its ceiling sheds a row of weight just above k * M",
         DIFFERENTIAL,
@@ -245,8 +271,8 @@ MUTANTS = {
     ),
     "side-credence": (
         "functionals.py",
-        "Fraction(mass, den)",
-        "Fraction(den - mass, den)",
+        "Fraction(mass_lo[i] + mass_hi[j], den)",
+        "Fraction(den - mass_lo[i] - mass_hi[j], den)",
         "a reported subset's credence is its own mass over den, not its"
         " complement's",
         DIFFERENTIAL,
@@ -266,6 +292,14 @@ MUTANTS = {
         "block b's high part is entry b of the high table; the entry of"
         " another block adds the wrong theories to every mec and maximin"
         " column",
+        DIFFERENTIAL,
+    ),
+    "prologue-high-mass": (
+        "functionals.py",
+        "y = mass_hi[b]",
+        "y = mass_hi[b ^ 1]",
+        "the hm and kthm walks cut at the caps of block b's own masses;"
+        " another block's high mass moves every cap",
         DIFFERENTIAL,
     ),
     "hm-high-place-index": (
@@ -368,6 +402,15 @@ MUTANTS = {
         " and extend share this one check",
         CORE,
     ),
+    "duplicate-action": (
+        "core.py",
+        "if action in islice(actions, i):",
+        "if action in islice(actions, 0):",
+        "a repeated id in a plain action sequence must be rejected; let"
+        " through, the compile's per-action dicts collapse the repeat and"
+        " aggregate drops or misgroups an action",
+        CORE,
+    ),
     "to-rational-sign": (
         "core.py",
         'return Fraction(-value if token[0] == "-" else value, scale)',
@@ -406,6 +449,39 @@ MUTANTS = {
         "a key with a quote, a backslash or a non-ASCII character must be"
         " escaped as json.dumps escapes it",
         WRITER,
+    ),
+    "literal-cache-key": (
+        "scenario.py",
+        "value = self.literals.get(text)",
+        'value = self.literals.get(text.lstrip("+-"))',
+        "the literal cache is keyed by the literal's whole text; without its"
+        " sign, -1/2 after 1/2 reads back as 1/2",
+        ("tests/test_scenario.py",),
+    ),
+    "ladder-bound": (
+        "fanaticism.py",
+        "s = (1 - credence) * base.spread()",
+        "s = credence * base.spread()",
+        "under kthm the base theories keep mass 1 - credence; a bound scaled"
+        " by the injected credence instead is too small to step over them,"
+        " and it is the bound the witness records",
+        FANATICISM,
+    ),
+    "undercut-floor": (
+        "fanaticism.py",
+        "floor = min(scores)",
+        "floor = max(scores)",
+        "the injected theory must undercut every evaluation, so it steps"
+        " below the least maximin score, not the greatest",
+        FANATICISM,
+    ),
+    "probe-trim-check": (
+        "fanaticism.py",
+        "if ids - low - high:",
+        "if ids - low:",
+        "an adversary theory may be shed from either end; checking the low"
+        " side only reports an adversary shed from the top as surviving",
+        FANATICISM,
     ),
     "directive-getattr": (
         "scenario.py",

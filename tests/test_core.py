@@ -25,14 +25,19 @@ from moralagg import (
     EthicalFramework,
     MissingEvaluation,
     Ranking,
+    SwfSpec,
     Theory,
     UnknownTheoryId,
+    aggregate,
+    enumerate_dominant_subsets,
     extend,
+    is_dominant_subset,
     ranking_from_scores,
     restrict,
     theory_ranking,
     to_rational,
     validate_framework,
+    witness_mec,
 )
 
 import strategies
@@ -555,6 +560,31 @@ class TestValidateFramework:
         with pytest.raises(MissingEvaluation) as err:
             validate_framework(framework, ActionSet(("a", "b")))
         assert err.value.action == "b"
+
+    @pytest.mark.parametrize("c", [2, 3], ids=["tied", "apart"])
+    def test_repeated_action_in_a_plain_sequence_rejected(self, c):
+        # A plain sequence, unlike an ActionSet, can repeat an id.  Every
+        # compile validates here, so no entry point misreads the repeat:
+        # with b and c tied, aggregate would drop c from its result.
+        framework = EthicalFramework(
+            [
+                Theory("t1", {"a": 1, "b": 2, "c": c}),
+                Theory("t2", {"a": 0, "b": 2, "c": c}),
+            ],
+            {"t1": "1/2", "t2": "1/2"},
+        )
+        actions = ("a", "b", "b", "c")
+        calls = (
+            lambda: validate_framework(framework, actions),
+            lambda: aggregate(SwfSpec.mec(), framework, actions),
+            lambda: is_dominant_subset(SwfSpec.mec(), framework, actions, ["t1"]),
+            lambda: enumerate_dominant_subsets(SwfSpec.hm(), framework, actions),
+            lambda: witness_mec(framework, actions, "1/10"),
+        )
+        for call in calls:
+            with pytest.raises(DuplicateActionId) as err:
+                call()
+            assert err.value.action == "b"
 
 
 class TestRestrict:

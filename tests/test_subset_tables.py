@@ -28,16 +28,17 @@ plus ``kthm`` at 0, 1/7 and 49/100 in both modes:
   action, odd theory counts, and renormalized ``kthm`` means that tie
   as ``t1 / m1 == t2 / m2`` with ``t1 != t2``.
 
-A memory guard counts entries instead of timing: an enumeration's subset
-tables, plus the most block entries alive at once, stay within
-``6 · actions · 2^ceil(n/2)``, afresh on every call, and ``aggregate``,
-``is_dominant_subset``, ``_Compiled.key`` and the witnesses build no
-table.  Every compile is freed by reference counting alone as its call
-returns, and ``core._dense_ranks`` runs once for the full framework and
-once per reported subset.  No library path, from ``aggregate`` to the
-audit, hands ``core._dense_ranks`` a ``Fraction``: every ranking is the
-compile's integer key.  Within one call, subsets whose complements rank
-alike share one verdict.
+A memory guard counts entries instead of timing: every rule builds
+``4 + 2 · actions`` subset tables, the masses and ids over both halves
+and two per action, and those tables, plus the most block entries alive
+at once, stay within ``6 · actions · 2^ceil(n/2)``, afresh on every
+call, and ``aggregate``, ``is_dominant_subset``, ``_Compiled.key`` and
+the witnesses build no table.  Every compile is freed by reference
+counting alone as its call returns, and ``core._dense_ranks`` runs once
+for the full framework and once per reported subset.  No library path,
+from ``aggregate`` to the audit, hands ``core._dense_ranks`` a
+``Fraction``: every ranking is the compile's integer key.  Within one
+call, subsets whose complements rank alike share one verdict.
 """
 
 import gc
@@ -112,17 +113,18 @@ def assert_tables_match_per_mask(spec, framework, actions):
     ids = list(zip(framework.theory_ids(), compiled.bits))
     keys = {everyone: compiled.key(everyone)}
     links = functionals._links(keys[everyone])
-    masses, ids_lo, block = compiled.blocks()
-    size = len(masses)
+    mass_lo, mass_hi, ids_lo, ids_hi, block = compiled.blocks()
+    size = len(mass_lo)
     assert size == 2 ** (len(framework.theories) // 2)
     assert len(ids_lo) == size
+    assert len(mass_hi) == len(ids_hi) == (everyone + 1) // size
     seen = set()
     for b in range((everyone + 1) // size):
-        high, ids_high, columns = block(b)
+        columns = block(b)
         flags = list(functionals._alike(columns, links, size, iter))
         assert len(flags) == size
         for a in range(size):
-            subset = ids_lo[a] | ids_high
+            subset = ids_lo[a] | ids_hi[b]
             mask = sum(bit for tid, bit in ids if tid in subset)
             assert mask not in seen, mask
             seen.add(mask)
@@ -131,7 +133,7 @@ def assert_tables_match_per_mask(spec, framework, actions):
             keys[mask] = compiled.key(mask)
             assert functionals._key_at(columns, a) == keys[mask], mask
             assert flags[a] == (keys[mask] == keys[everyone]), mask
-            assert masses[a] + high == compiled.mass(mask), mask
+            assert mass_lo[a] + mass_hi[b] == compiled.mass(mask), mask
     assert len(seen) == everyone + 1
     full = _ranking(actions, keys[everyone])
     walked = []
@@ -280,9 +282,9 @@ class Tracked(list):
 def live_block_entries(monkeypatch):
     """After each block is built, the entries of all blocks then alive.
 
-    Each block is handed on with every column copied into a ``Tracked``
-    list, and a block's entries are those lists' lengths; its flags are
-    tested as the columns are read, and never stored.
+    A block is its score columns.  Each is handed on copied into a
+    ``Tracked`` list, and a block's entries are those lists' lengths; its
+    flags are tested as the columns are read, and never stored.
     The test runs with ``gc`` off, so a list is alive exactly until its
     last reference goes.
     """
@@ -291,17 +293,16 @@ def live_block_entries(monkeypatch):
     original = _Compiled.blocks
 
     def blocks(self):
-        masses, ids, block = original(self)
+        *tables, block = original(self)
 
         def counting(b):
-            high, ids_high, columns = block(b)
-            columns = list(map(Tracked, columns))
+            columns = list(map(Tracked, block(b)))
             live.extend(map(weakref.ref, columns))
             live[:] = [ref for ref in live if ref() is not None]
             counts.append(sum(len(ref()) for ref in live))
-            return high, ids_high, columns
+            return columns
 
-        return masses, ids, counting
+        return *tables, counting
 
     monkeypatch.setattr(_Compiled, "blocks", blocks)
     gc.disable()
@@ -322,6 +323,8 @@ def test_enumeration_tables_grow_with_half_the_theories(
             live_block_entries.clear()
             enumerate_dominant_subsets(spec, framework, actions)
             assert table_sizes and live_block_entries, nt
+            # Masses and ids over both halves, and two tables per action.
+            assert len(table_sizes) == 4 + 2 * len(actions), nt
             assert max(table_sizes) <= bound, nt
             held = sum(table_sizes) + max(live_block_entries)
             assert held <= 6 * len(actions) * bound, nt
