@@ -166,9 +166,8 @@ def _write(value, pad: str, out) -> None:
 
 
 def _emit_json(payload: dict) -> None:
-    chunks: list[str] = []
-    _write({**payload, "schema": JSON_SCHEMA}, "\n", chunks.append)
-    print("".join(chunks))
+    _write({**payload, "schema": JSON_SCHEMA}, "\n", sys.stdout.write)
+    sys.stdout.write("\n")
 
 
 def _swf_json(spec: SwfSpec):
@@ -599,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; its stdout is written only if it raised no error."""
+    """Run one subcommand into one buffer, printed only if it raised no error."""
     parser = build_parser()
     args = parser.parse_args(argv)
     out = io.StringIO()

@@ -450,6 +450,15 @@ MUTANTS = {
         " escaped as json.dumps escapes it",
         WRITER,
     ),
+    "report-on-error": (
+        "cli.py",
+        "        limit = sys.get_int_max_str_digits()\n",
+        "        sys.stdout.write(out.getvalue())\n"
+        "        limit = sys.get_int_max_str_digits()\n",
+        "a report is written into main's buffer as it is rendered; a run that"
+        " fails part-way must leave stdout empty, not print the part it wrote",
+        ("tests/test_cli.py",),
+    ),
     "literal-cache-key": (
         "scenario.py",
         "value = self.literals.get(text)",

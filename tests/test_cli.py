@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "scenarios"
 FROBO = str(FIXTURES / "frobo.scenario")
 TIEBREAKER = str(FIXTURES / "tiebreaker.scenario")
+RECIPE16 = str(FIXTURES / "recipes" / "recipe-16.scenario")
 
 BASE = "scenario v1\nactions a b\ntheory t credence 1\n  eval a 1\n  eval b 0\n"
 
@@ -227,6 +231,27 @@ class TestDominant:
         assert captured.out == ""
         assert captured.err == "usage error: --max-theories must be >= 1\n"
 
+    def test_json_report_is_held_once(self):
+        # The JSON text is held only in main's buffer, so the JSON run's
+        # traced peak exceeds the text run's by a few bytes per byte of JSON.
+        import moralagg.fanaticism  # noqa: F401  (imported outside the trace)
+
+        def traced(argv):
+            out = io.StringIO()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(out):
+                    assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, len(out.getvalue())
+
+        argv = ["dominant", RECIPE16, "--swf", "mec"]
+        text_peak, _ = traced(argv)
+        json_peak, json_bytes = traced(argv + ["--json"])
+        assert (json_peak - text_peak) / json_bytes < 4
+
 
 class TestWitness:
     def test_mec_textbook_output(self, base_scenario, capsys):
@@ -419,6 +444,23 @@ class TestOversizedResults:
         argv = ["witness", path, "--swf", "mec", "--credence", "1/10"]
         self.assert_one_error_line(argv + ["--out", str(out_file)], capsys)
         assert not out_file.exists()
+        self.assert_one_error_line(argv + ["--json"], capsys)
+
+    def test_dominant_writes_no_partial_report(self, tmp_path, capsys):
+        # p and q are coprime 3001-digit numbers: t1, t2 hold credences over
+        # 2p and t3, t4 over 2q, so the dominant subset {t1, t3} has a
+        # credence whose denominator has about 6000 digits.
+        p, q = 10**3000 + 3, 10**3000 + 7
+        path = tmp_path / "big.scenario"
+        path.write_text(
+            "scenario v1\nactions a b\n"
+            f"theory t1 credence 1/{2 * p}\n  eval a -3\n  eval b 4\n"
+            f"theory t2 credence {p - 1}/{2 * p}\n  eval a -4\n  eval b -1\n"
+            f"theory t3 credence 1/{2 * q}\n  eval a -4\n  eval b 2\n"
+            f"theory t4 credence {q - 1}/{2 * q}\n  eval a 2\n  eval b 2\n"
+        )
+        argv = ["dominant", str(path), "--swf", "hm"]
+        self.assert_one_error_line(argv, capsys)
         self.assert_one_error_line(argv + ["--json"], capsys)
 
 
