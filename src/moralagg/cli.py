@@ -360,6 +360,8 @@ def _witness_report(args, document: ScenarioDocument) -> WitnessReport:
     kthm = args.swf == "kthm"
     if kthm and (args.k is None or args.kprime is None):
         raise _UsageError("--swf kthm needs --k and --kprime")
+    if kthm and args.credence is not None:
+        raise _UsageError("--credence does not apply to --swf kthm")
     if not kthm and args.credence is None:
         raise _UsageError(f"--swf {args.swf} needs --credence")
     if not kthm and (args.k is not None or args.kprime is not None):
@@ -560,8 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--credence",
         type=_rational_arg,
-        help="injected credence for mec/maximin, a rational in (0, 1/2); "
-        "ignored for kthm, whose injected credence is --kprime",
+        help="mec/maximin only: injected credence, a rational in (0, 1/2); "
+        "kthm takes its injected credence from --kprime",
     )
     p.add_argument(
         "--k",

@@ -113,153 +113,36 @@ def _arity(words: list[str], n: int, usage: str) -> None:
         raise _WordError(f"expected '{usage}'", min(n, len(words) - 1))
 
 
-class _Parser:
-    def __init__(self) -> None:
-        self.actions: Optional[list[str]] = None
-        self.declared: set[str] = set()
-        self.credences: dict[str, Fraction] = {}
-        self.evaluations: dict[str, dict[str, Fraction]] = {}
-        self.current: Optional[str] = None
-        self.block: Optional[dict[str, Fraction]] = None
-        self.swf: Optional[SwfSpec] = None
-        self.any_directive = False
-        # Each distinct literal is converted once per parse; only
-        # successes are kept, so a bad literal is reported where it occurs.
-        self.literals: dict[str, Fraction] = {}
-
-    def feed(self, words: list[str]) -> None:
-        handler = self._HANDLERS.get(words[0])
-        if handler is None:
-            raise _WordError(f"unknown directive {words[0]!r}")
-        handler(self, words)
-        self.any_directive = True
-
-    def _rational(self, words: list[str], index: int) -> Fraction:
-        text = words[index]
-        value = self.literals.get(text)
-        if value is None:
-            try:
-                value = to_rational(text)
-            except (ValueError, TypeError):
-                raise _WordError(
-                    f"bad rational literal {text!r}", index, NumberFormatError
-                ) from None
-            self.literals[text] = value
-        return value
-
-    def _on_scenario(self, words: list[str]) -> None:
-        if self.any_directive:
-            raise _WordError("version header must come first")
-        _arity(words, 2, "scenario v1")
-        if words[1] != SCHEMA_VERSION:
-            raise _WordError(f"unsupported schema version {words[1]!r}", 1)
-
-    def _on_actions(self, words: list[str]) -> None:
-        # A theory needs the actions first, so a later declaration is
-        # always a duplicate.
-        if self.actions is not None:
-            raise _WordError("duplicate actions declaration")
-        if len(words) < 2:
-            raise _WordError("actions declaration needs at least one action")
-        seen = set()
-        for index, action in enumerate(words[1:], start=1):
-            if action in seen:
-                raise _WordError(
-                    f"duplicate action {action!r}", index, ValidationError
-                )
-            seen.add(action)
-        self.actions = words[1:]
-        self.declared = seen
-
-    def _on_theory(self, words: list[str]) -> None:
-        if self.actions is None:
-            raise _WordError("actions must be declared before theories")
-        _arity(words, 4, "theory <id> credence <rational>")
-        name = words[1]
-        if words[2] != "credence":
-            raise _WordError("expected 'theory <id> credence <rational>'", 2)
-        if name in self.credences:
-            raise _WordError(f"duplicate theory {name!r}", 1, ValidationError)
-        self.credences[name] = self._rational(words, 3)
-        self.evaluations[name] = self.block = {}
-        self.current = name
-
-    def _on_eval(self, words: list[str]) -> None:
-        block = self.block
-        if block is None:
-            raise _WordError("eval before any theory declaration")
-        if len(words) != 3:
-            _arity(words, 3, "eval <action> <rational>")
-        action = words[1]
-        if action not in self.declared:
-            raise _WordError(
-                f"evaluation of undeclared action {action!r}", 1, ValidationError
-            )
-        if action in block:
-            raise _WordError(
-                f"duplicate evaluation of {action!r} by {self.current!r}",
-                1,
-                ValidationError,
-            )
-        block[action] = self._rational(words, 2)
-
-    def _on_swf(self, words: list[str]) -> None:
-        if self.swf is not None:
-            raise _WordError("duplicate swf declaration")
-        if len(words) < 2:
-            raise _WordError("swf declaration needs a functional name")
-        try:
-            kind = SwfKind(words[1])
-        except ValueError:
-            raise _WordError(f"unknown functional {words[1]!r}", 1) from None
-        if kind is not SwfKind.KTHM:
-            _arity(words, 2, f"swf {kind.value}")
-            self.swf = SwfSpec(kind)
-            return
-        if len(words) not in (4, 6):
-            raise _WordError(
-                "expected 'swf kthm k <rational> [trim literal|renormalized]'"
-            )
-        if words[2] != "k":
-            raise _WordError("expected 'k' after 'swf kthm'", 2)
-        k = self._rational(words, 3)
-        mode = TrimMode.LITERAL
-        if len(words) == 6:
-            if words[4] != "trim":
-                raise _WordError("expected 'trim' before the trim mode", 4)
-            try:
-                mode = TrimMode(words[5])
-            except ValueError:
-                raise _WordError(f"unknown trim mode {words[5]!r}", 5) from None
-        try:
-            self.swf = SwfSpec.kthm(k, mode)
-        except InvalidSpec as exc:
-            raise _WordError(str(exc), 0, ValidationError) from exc
-
-    # Directive word to handler; a word with no entry is an unknown directive.
-    _HANDLERS = {
-        "scenario": _on_scenario,
-        "actions": _on_actions,
-        "theory": _on_theory,
-        "eval": _on_eval,
-        "swf": _on_swf,
-    }
-
-    def finish(self) -> ScenarioDocument:
-        if self.actions is None:
-            raise ScenarioSyntaxError("missing actions declaration", 1, 1)
-        if not self.credences:
-            raise ValidationError("scenario declares no theories")
-        actions = ActionSet(self.actions)
-        framework = EthicalFramework(
-            [Theory(tid, block) for tid, block in self.evaluations.items()],
-            self.credences,
+def _swf(words: list[str], rational) -> SwfSpec:
+    """The functional an ``swf`` line names; ``rational`` reads its ``k``."""
+    if len(words) < 2:
+        raise _WordError("swf declaration needs a functional name")
+    try:
+        kind = SwfKind(words[1])
+    except ValueError:
+        raise _WordError(f"unknown functional {words[1]!r}", 1) from None
+    if kind is not SwfKind.KTHM:
+        _arity(words, 2, f"swf {kind.value}")
+        return SwfSpec(kind)
+    if len(words) not in (4, 6):
+        raise _WordError(
+            "expected 'swf kthm k <rational> [trim literal|renormalized]'"
         )
+    if words[2] != "k":
+        raise _WordError("expected 'k' after 'swf kthm'", 2)
+    k = rational(words, 3)
+    mode = TrimMode.LITERAL
+    if len(words) == 6:
+        if words[4] != "trim":
+            raise _WordError("expected 'trim' before the trim mode", 4)
         try:
-            validate_framework(framework, actions)
-        except MoralAggError as exc:
-            raise ValidationError(str(exc)) from exc
-        return ScenarioDocument(framework, actions, self.swf)
+            mode = TrimMode(words[5])
+        except ValueError:
+            raise _WordError(f"unknown trim mode {words[5]!r}", 5) from None
+    try:
+        return SwfSpec.kthm(k, mode)
+    except InvalidSpec as exc:
+        raise _WordError(str(exc), 0, ValidationError) from exc
 
 
 def parse_scenario(data: Union[str, bytes]) -> ScenarioDocument:
@@ -274,14 +157,94 @@ def parse_scenario(data: Union[str, bytes]) -> ScenarioDocument:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ScenarioSyntaxError(f"not valid UTF-8: {exc}") from exc
-    parser = _Parser()
+    actions: Optional[list[str]] = None
+    declared: set[str] = set()
+    credences: dict[str, Fraction] = {}
+    evaluations: dict[str, dict[str, Fraction]] = {}
+    current: Optional[str] = None
+    block: Optional[dict[str, Fraction]] = None
+    swf: Optional[SwfSpec] = None
+    any_directive = False
+    # Each distinct literal is converted once per parse; only successes
+    # are kept, so a bad literal is reported where it occurs.
+    literals: dict[str, Fraction] = {}
+
+    def rational(words: list[str], index: int) -> Fraction:
+        text = words[index]
+        value = literals.get(text)
+        if value is None:
+            try:
+                value = to_rational(text)
+            except (ValueError, TypeError):
+                raise _WordError(
+                    f"bad rational literal {text!r}", index, NumberFormatError
+                ) from None
+            literals[text] = value
+        return value
+
     for lineno, line in enumerate(data.split("\n"), start=1):
         body = line.split("#", 1)[0]
         words = body.split()
         if not words:
             continue
+        head = words[0]
         try:
-            parser.feed(words)
+            if head == "eval":
+                if block is None:
+                    raise _WordError("eval before any theory declaration")
+                if len(words) != 3:
+                    _arity(words, 3, "eval <action> <rational>")
+                action = words[1]
+                if action not in declared:
+                    raise _WordError(
+                        f"evaluation of undeclared action {action!r}", 1,
+                        ValidationError,
+                    )
+                if action in block:
+                    raise _WordError(
+                        f"duplicate evaluation of {action!r} by {current!r}", 1,
+                        ValidationError,
+                    )
+                block[action] = rational(words, 2)
+            elif head == "theory":
+                if actions is None:
+                    raise _WordError("actions must be declared before theories")
+                _arity(words, 4, "theory <id> credence <rational>")
+                current = words[1]
+                if words[2] != "credence":
+                    raise _WordError("expected 'theory <id> credence <rational>'", 2)
+                if current in credences:
+                    raise _WordError(
+                        f"duplicate theory {current!r}", 1, ValidationError
+                    )
+                credences[current] = rational(words, 3)
+                evaluations[current] = block = {}
+            elif head == "actions":
+                # A theory needs the actions first, so a later declaration
+                # is always a duplicate.
+                if actions is not None:
+                    raise _WordError("duplicate actions declaration")
+                if len(words) < 2:
+                    raise _WordError("actions declaration needs at least one action")
+                for index, action in enumerate(words[1:], start=1):
+                    if action in declared:
+                        raise _WordError(
+                            f"duplicate action {action!r}", index, ValidationError
+                        )
+                    declared.add(action)
+                actions = words[1:]
+            elif head == "swf":
+                if swf is not None:
+                    raise _WordError("duplicate swf declaration")
+                swf = _swf(words, rational)
+            elif head == "scenario":
+                if any_directive:
+                    raise _WordError("version header must come first")
+                _arity(words, 2, "scenario v1")
+                if words[1] != SCHEMA_VERSION:
+                    raise _WordError(f"unsupported schema version {words[1]!r}", 1)
+            else:
+                raise _WordError(f"unknown directive {head!r}")
         except _WordError as err:
             # The one place a position is worked out: find where word
             # ``err.index`` starts, scanning the words before it in turn.
@@ -290,7 +253,20 @@ def parse_scenario(data: Union[str, bytes]) -> ScenarioDocument:
                 start = body.index(word, end)
                 end = start + len(word)
             raise err.kind(err.message, lineno, start + 1) from err.__cause__
-    return parser.finish()
+        any_directive = True
+    if actions is None:
+        raise ScenarioSyntaxError("missing actions declaration", 1, 1)
+    if not credences:
+        raise ValidationError("scenario declares no theories")
+    action_set = ActionSet(actions)
+    framework = EthicalFramework(
+        [Theory(tid, evals) for tid, evals in evaluations.items()], credences
+    )
+    try:
+        validate_framework(framework, action_set)
+    except MoralAggError as exc:
+        raise ValidationError(str(exc)) from exc
+    return ScenarioDocument(framework, action_set, swf)
 
 
 def serialize_scenario(document: ScenarioDocument) -> bytes:

@@ -461,10 +461,18 @@ MUTANTS = {
     ),
     "literal-cache-key": (
         "scenario.py",
-        "value = self.literals.get(text)",
-        'value = self.literals.get(text.lstrip("+-"))',
+        "value = literals.get(text)",
+        'value = literals.get(text.lstrip("+-"))',
         "the literal cache is keyed by the literal's whole text; without its"
         " sign, -1/2 after 1/2 reads back as 1/2",
+        ("tests/test_scenario.py",),
+    ),
+    "literal-memo-store": (
+        "scenario.py",
+        "literals[text] = value",
+        "literals.clear()",
+        "each distinct literal is converted once per parse; a memo that keeps"
+        " nothing converts every repeat again, with the same values",
         ("tests/test_scenario.py",),
     ),
     "ladder-bound": (
@@ -492,12 +500,12 @@ MUTANTS = {
         " side only reports an adversary shed from the top as surviving",
         FANATICISM,
     ),
-    "directive-getattr": (
+    "directive-prefix": (
         "scenario.py",
-        "handler = self._HANDLERS.get(words[0])",
-        "handler = getattr(type(self), words[0], None) or self._HANDLERS.get(words[0])",
-        "a directive word is looked up in the handler table only; by"
-        " attribute, words such as feed or __init__ reach parser internals",
+        'if head == "eval":',
+        'if head.startswith("eval"):',
+        "a directive is its whole first word; by prefix, a word such as"
+        " eval: is read as eval instead of rejected as unknown",
         ("tests/test_scenario.py",),
     ),
 }

@@ -350,6 +350,10 @@ class TestWitness:
             (["kthm", "--kprime", "1/5"], kthm_needs),
             (["kthm"], kthm_needs),
             (["mec", "--credence", "1/4", "--kprime", "1/5"], only_kthm),
+            (
+                ["kthm", "--k", "1/10", "--kprime", "1/5", "--credence", "1/4"],
+                "usage error: --credence does not apply to --swf kthm\n",
+            ),
         ]
         for flags, err in cases:
             argv = ["witness", base_scenario, "--swf", *flags]

@@ -17,6 +17,7 @@ from moralagg import (
     ValidationError,
     aggregate,
     parse_scenario,
+    scenario,
     serialize_scenario,
     to_rational,
 )
@@ -313,6 +314,19 @@ class TestLiteralsAndDirectiveWords:
                 value = theory.evaluations[f"x{j}"]
                 assert type(value) is F
                 assert value == to_rational(words[(i + j) % len(words)])
+
+    def test_each_distinct_literal_is_converted_once_per_parse(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return to_rational(text)
+
+        monkeypatch.setattr(scenario, "to_rational", counting)
+        text = "\n".join(self.repeated(40) + ["swf kthm k 1/40"]) + "\n"
+        for _ in range(2):
+            parse_scenario(text)
+        assert sorted(calls) == sorted(["1/40", "-3/7", "12.5"] * 2)
 
     @pytest.mark.parametrize(
         "word",
