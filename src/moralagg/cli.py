@@ -4,6 +4,8 @@ Subcommands: validate, rank, compare, dominant, witness, audit.  Exit
 codes: 0 on success, 1 on domain or input errors (bad scenario files,
 failed constructions, oversized enumerations, results too large to
 render), 2 on usage errors.  Either kind of error leaves stdout empty.
+A failing audit is not an error: it exits 1 with its full report on
+stdout.
 
 Human-readable output always shows exact fractions; decimal forms are
 6-significant-digit approximations and are marked with "~=".  With
@@ -18,13 +20,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import decimal
-import enum
 import io
 import sys
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core import MoralAggError, Ranking, to_rational
 from .functionals import SwfKind, SwfSpec, TrimMode, aggregate
@@ -69,9 +70,8 @@ def _fmt(value: Fraction) -> str:
     return f"{value} (~= {approx(value)})"
 
 
-# What the writer renders a value as.  ``_KINDS`` names the kind of each
-# exact type that needs no other check; ``_kind`` sorts out the rest.
-_STR, _FRACTION, _MAP, _LIST, _INT, _BOOL, _NULL = range(7)
+# What the writer renders a value as, by the value's exact class.
+_STR, _FRACTION, _MAP, _LIST, _INT, _BOOL, _NULL, _ENUM, _RANKING, _SET = range(10)
 _KINDS = {
     str: _STR,
     Fraction: _FRACTION,
@@ -82,35 +82,11 @@ _KINDS = {
     int: _INT,
     bool: _BOOL,
     type(None): _NULL,
+    SwfKind: _ENUM,
+    TrimMode: _ENUM,
+    Ranking: _RANKING,
+    frozenset: _SET,
 }
-
-
-def _kind(value) -> tuple[int, object]:
-    """The kind of ``value`` and the value to render as that kind.
-
-    An enum is rendered as its value, a ``Ranking`` as its groups with
-    each group's actions sorted, and a set as its sorted members.
-    """
-    kind = _KINDS.get(value.__class__)
-    if kind is not None:
-        return kind, value
-    if isinstance(value, Fraction):
-        return _FRACTION, value
-    if isinstance(value, enum.Enum):
-        return _kind(value.value)
-    if isinstance(value, Ranking):
-        return _LIST, [sorted(group) for group in value.groups]
-    if isinstance(value, str):
-        return _STR, value
-    if isinstance(value, int):
-        return _INT, value
-    if isinstance(value, (set, frozenset)):
-        return _LIST, sorted(v.value if isinstance(v, enum.Enum) else v for v in value)
-    if isinstance(value, (list, tuple)):
-        return _LIST, value
-    if isinstance(value, Mapping):
-        return _MAP, value
-    raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
 def _write(value, pad: str, out) -> None:
@@ -118,14 +94,15 @@ def _write(value, pad: str, out) -> None:
 
     The layout is ``json.dumps(sort_keys=True, indent=2)``'s; ``pad`` is a
     newline plus the indentation of the line ``value`` starts on.  A
-    ``Fraction`` is a ``{"den": ..., "num": ...}`` object and mapping keys
-    are rendered with ``str`` and sorted.  Ints go through
-    ``int.__repr__``, which raises ``ValueError`` past
-    ``sys.get_int_max_str_digits()``.
+    ``Fraction`` is a ``{"den": ..., "num": ...}`` object and mapping keys,
+    all ``str``, are sorted.  A value whose exact class is not in
+    ``_KINDS`` raises ``TypeError``.  Ints go through ``int.__repr__``,
+    which raises ``ValueError`` past ``sys.get_int_max_str_digits()``.
     """
-    kind = _KINDS.get(value.__class__)
-    if kind is None:
-        kind, value = _kind(value)
+    try:
+        kind = _KINDS[value.__class__]
+    except KeyError:
+        raise TypeError(f"cannot render {type(value).__name__} as JSON") from None
     if kind == _FRACTION:
         inner = pad + "  "
         out(
@@ -140,10 +117,9 @@ def _write(value, pad: str, out) -> None:
             return
         inner = pad + "  "
         sep = "{" + inner
-        items = {str(k): v for k, v in value.items()}
-        for key in sorted(items):
+        for key in sorted(value):
             out(f"{sep}{_quote(key)}: ")
-            _write(items[key], inner, out)
+            _write(value[key], inner, out)
             sep = "," + inner
         out(pad + "}")
     elif kind == _LIST:
@@ -157,6 +133,12 @@ def _write(value, pad: str, out) -> None:
             _write(item, inner, out)
             sep = "," + inner
         out(pad + "]")
+    elif kind == _RANKING:
+        _write([sorted(group) for group in value.groups], pad, out)
+    elif kind == _SET:
+        _write(sorted(value), pad, out)
+    elif kind == _ENUM:
+        out(_quote(value.value))
     elif kind == _INT:
         out(int.__repr__(value))
     elif kind == _BOOL:

@@ -144,9 +144,8 @@ def _frozen(cls):
     ``cls`` has one (the fields as parameters, class-level values as
     defaults, then ``__post_init__``); ``==`` within the class, field by
     field; a hash of the fields unless ``cls`` has one; the same
-    ``repr``; ``AttributeError`` on assignment or deletion;
-    ``__match_args__``.  Objects pickle and copy through their
-    ``__dict__``, as dataclasses do.
+    ``repr``; ``AttributeError`` on assignment or deletion.  Objects
+    pickle and copy through their ``__dict__``, as dataclasses do.
     """
     names = tuple(cls.__annotations__)
     # The fields as a tuple, or the field itself when there is only one.
@@ -189,7 +188,6 @@ def _frozen(cls):
     cls.__repr__ = __repr__
     cls.__setattr__ = __setattr__
     cls.__delattr__ = __delattr__
-    cls.__match_args__ = names
     return cls
 
 

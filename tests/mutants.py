@@ -436,8 +436,8 @@ MUTANTS = {
     ),
     "write-unsorted-keys": (
         "cli.py",
-        "for key in sorted(items):",
-        "for key in items:",
+        "for key in sorted(value):",
+        "for key in value:",
         "--json sorts mapping keys, as json.dumps(sort_keys=True) did;"
         " insertion order moves bytes",
         WRITER,
@@ -448,6 +448,30 @@ MUTANTS = {
         """out(f'{sep}"{key}": ')""",
         "a key with a quote, a backslash or a non-ASCII character must be"
         " escaped as json.dumps escapes it",
+        WRITER,
+    ),
+    "write-unsorted-groups": (
+        "cli.py",
+        "[sorted(group) for group in value.groups]",
+        "[list(group) for group in value.groups]",
+        "a ranking's groups are frozensets, iterated in hash order; each is"
+        " rendered sorted, so equal inputs give equal bytes",
+        WRITER,
+    ),
+    "write-unsorted-set": (
+        "cli.py",
+        "_write(sorted(value), pad, out)",
+        "_write(list(value), pad, out)",
+        "a frozenset (theory ids, best actions) is rendered as its sorted"
+        " members; hash order moves bytes from run to run",
+        WRITER,
+    ),
+    "write-enum-name": (
+        "cli.py",
+        "out(_quote(value.value))",
+        "out(_quote(value.name))",
+        "a rule kind or trim mode is rendered as its value, mec or literal,"
+        " the word the CLI and scenario files take, not its name",
         WRITER,
     ),
     "report-on-error": (

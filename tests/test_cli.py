@@ -404,6 +404,31 @@ class TestAudit:
     def test_negative_trials_usage_error(self, capsys):
         assert main(["audit", "--trials", "-1"]) == 2
 
+    @pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+    def test_failing_audit_exits_1_with_its_report(
+        self, capsys, monkeypatch, json_flag
+    ):
+        import moralagg.audit as audit
+
+        short = audit.SuiteResult("mec capture", "1/100", 1, 2)
+        monkeypatch.setattr(
+            audit,
+            "run_audit",
+            lambda seed, trials: audit.AuditReport(seed, trials, (short,)),
+        )
+        argv = ["audit", "--trials", "2", *(["--json"] if json_flag else [])]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if json_flag:
+            payload = json.loads(captured.out)
+            assert payload["ok"] is False
+            (suite,) = payload["suites"]
+            assert (suite["passed"], suite["total"], suite["ok"]) == (1, 2, False)
+        else:
+            assert "1/2  FAIL" in captured.out
+            assert captured.out.endswith("result: FAIL\n")
+
 
 class TestOversizedResults:
     """Numbers past Python's int-to-str digit limit end in one error line.

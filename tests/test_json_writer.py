@@ -5,12 +5,16 @@ itself: each value became plain JSON data, and ``json.dumps(...,
 sort_keys=True, indent=2)`` printed that.  The writer must give the same
 text on generated payloads and on the payload of every ``--json`` case
 in ``cli_golden.json``, and it must not reach the stdlib encoder at all.
+The writer renders a value by its exact class in ``cli._KINDS`` and
+nothing else, so generated leaves come from those classes only, and
+every golden payload must hold nothing but them.
 """
 
 import contextlib
 import enum
 import io
 import json
+from collections import OrderedDict
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
@@ -55,11 +59,6 @@ def written(value) -> str:
     return "".join(chunks)
 
 
-class Mark(enum.Enum):
-    LOW = 1
-    HIGH = 2
-
-
 strings = st.one_of(
     st.text(max_size=8),
     st.text(st.sampled_from('ab"\\/\x00\x1f\x7f\n\té€ \U0001f600'), max_size=8),
@@ -93,11 +92,10 @@ leaves = st.one_of(
     fractions,
     st.booleans(),
     st.none(),
-    st.sampled_from([*SwfKind, *TrimMode, *Mark]),
+    st.sampled_from([*SwfKind, *TrimMode]),
     rankings(),
-    st.sets(strings, max_size=4),
+    st.frozensets(strings, max_size=4),
     st.frozensets(big_ints, max_size=4),
-    st.frozensets(st.sampled_from(list(SwfKind)), max_size=4),
 )
 
 payloads = st.recursive(
@@ -117,8 +115,8 @@ def test_writer_matches_the_reference_rendering(value):
     assert written(value) == reference_text(value)
 
 
-@pytest.mark.parametrize("case", JSON_CASES)
-def test_golden_payloads_render_as_the_reference(case, tmp_path, monkeypatch):
+def recorded(case, tmp_path, monkeypatch):
+    """The payload ``case`` hands the writer, and the stdout it gave."""
     payloads = []
     emit = cli._emit_json
 
@@ -134,7 +132,34 @@ def test_golden_payloads_render_as_the_reference(case, tmp_path, monkeypatch):
         code = cli.main(CASES[case])
     assert code in (0, 1)
     assert len(payloads) == 1
-    assert out.getvalue() == reference_text(payloads[0]) + "\n"
+    return payloads[0], out.getvalue()
+
+
+@pytest.mark.parametrize("case", JSON_CASES)
+def test_golden_payloads_render_as_the_reference(case, tmp_path, monkeypatch):
+    payload, out = recorded(case, tmp_path, monkeypatch)
+    assert out == reference_text(payload) + "\n"
+
+
+def strays(value, path="$"):
+    """Where ``value`` holds a class outside ``cli._KINDS`` or a non-str key."""
+    kind = cli._KINDS.get(value.__class__)
+    if kind is None:
+        yield f"{path}: {type(value).__name__}"
+    elif kind == cli._MAP:
+        for key, item in value.items():
+            if key.__class__ is not str:
+                yield f"{path}: key {key!r}"
+            yield from strays(item, f"{path}.{key}")
+    elif kind in (cli._LIST, cli._SET):
+        for i, item in enumerate(value):
+            yield from strays(item, f"{path}[{i}]")
+
+
+@pytest.mark.parametrize("case", JSON_CASES)
+def test_golden_payloads_hold_only_the_writer_classes(case, tmp_path, monkeypatch):
+    payload, _ = recorded(case, tmp_path, monkeypatch)
+    assert list(strays(payload)) == []
 
 
 @pytest.mark.parametrize("case", JSON_CASES)
@@ -170,3 +195,23 @@ def test_unknown_types_raise_as_the_reference(value):
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("cannot render ")
+
+
+class Level(enum.Enum):
+    LOW = "low"
+
+
+class Label(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{"a"}, Level.LOW, Label("a"), OrderedDict(a=1), [frozenset("a"), {"a"}]],
+    ids=["set", "foreign-enum", "str-subclass", "ordered-dict", "nested-set"],
+)
+def test_classes_outside_the_table_raise(value):
+    # The reference still renders these; no payload holds them.
+    reference_text(value)
+    with pytest.raises(TypeError, match="^cannot render "):
+        written(value)

@@ -29,6 +29,9 @@
 - The full framework's ranking comes from the compile's integer key:
   ``fanaticism`` imports no ``_dense_ranks``, and ``aggregate`` calls no
   ``ranking_from_scores``.
+- The ``--json`` writer dispatches once, on the value's exact class:
+  ``cli`` defines no ``_kind``, and ``cli._write`` calls no
+  ``isinstance``.
 """
 
 import ast
@@ -217,3 +220,25 @@ def test_full_rankings_come_from_the_compile_key():
         if isinstance(node, ast.Call)
     }
     assert "ranking_from_scores" not in called
+
+
+def test_the_json_writer_dispatches_on_exact_class_only():
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    defined = {
+        node.name if hasattr(node, "name") else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+    }
+    assert "_kind" not in defined
+    (write,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_write"
+    ]
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(write)
+        if isinstance(node, ast.Call)
+    }
+    assert "isinstance" not in called
